@@ -77,70 +77,56 @@ def _reraise_with_edge(err: InjectivityError, src, dst):
         "the log map is undefined there", vertex=u, neighbor=v) from None
 
 
+def _on_active_edges(graph, f: VertexFunction, op):
+    """Evaluate ``op(src, dst, sel)`` on the active edges only.
+
+    ``src``/``dst`` are the endpoints of the active edges and ``sel`` selects
+    their rows from per-edge arrays.  Each array ``op`` returns (one, or a
+    tuple) is spread over all edges with zeros on inactive edges.
+    """
+    ae = active_edge_mask(graph, f)
+    if ae is None:
+        return op(graph.src, graph.dst, slice(None))
+    idx = np.flatnonzero(ae)
+    res = op(graph.src[idx], graph.dst[idx], idx)
+    outs = []
+    for r in res if isinstance(res, tuple) else (res,):
+        full = np.zeros((graph.n_edges,) + r.shape[1:])
+        full[idx] = r
+        outs.append(full)
+    return tuple(outs) if isinstance(res, tuple) else outs[0]
+
+
 def edge_logs(graph, f: VertexFunction):
     """Per-edge logs ``log_{f(u)} f(v)`` and geodesic distances.
 
     Entries for edges with an inactive endpoint are zero.  Returns the pair
     ``(logs, dists)`` with shapes ``(m,) + point_shape`` and ``(m,)``.
+    Raises InjectivityError naming the edge when an active edge joins
+    values beyond the injectivity bound (the bound ``check_admissible``
+    uses).
     """
     _check_pair(graph, f)
-    ps = f.manifold.point_shape
-    ae = active_edge_mask(graph, f)
-    if ae is None:
+
+    def op(src, dst, sel):
         try:
-            return f.manifold.log_and_dist(f.values[graph.src],
-                                           f.values[graph.dst])
+            return f.manifold.log_and_dist(f.values[src], f.values[dst])
         except InjectivityError as err:
-            _reraise_with_edge(err, graph.src, graph.dst)
-    logs = np.zeros((graph.n_edges,) + ps)
-    dists = np.zeros(graph.n_edges)
-    idx = np.flatnonzero(ae)
-    if idx.size:
-        try:
-            lg, dd = f.manifold.log_and_dist(f.values[graph.src[idx]],
-                                             f.values[graph.dst[idx]])
-        except InjectivityError as err:
-            _reraise_with_edge(err, graph.src[idx], graph.dst[idx])
-        logs[idx] = lg
-        dists[idx] = dd
-    return logs, dists
+            _reraise_with_edge(err, src, dst)
+    return _on_active_edges(graph, f, op)
 
 
 def _edge_dists(graph, f: VertexFunction):
     """Per-edge geodesic distances with zeros on inactive edges."""
     _check_pair(graph, f)
-    ae = active_edge_mask(graph, f)
-    if ae is None:
-        return f.manifold.dist(f.values[graph.src], f.values[graph.dst])
-    d = np.zeros(graph.n_edges)
-    idx = np.flatnonzero(ae)
-    if idx.size:
-        d[idx] = f.manifold.dist(f.values[graph.src[idx]],
-                                 f.values[graph.dst[idx]])
-    return d
-
-
-def _edge_norms(graph, f: VertexFunction, H: TangentEdgeFunction):
-    ae = active_edge_mask(graph, f)
-    if ae is None:
-        return f.manifold.norm(f.values[graph.src], H.values)
-    out = np.zeros(graph.n_edges)
-    idx = np.flatnonzero(ae)
-    if idx.size:
-        out[idx] = f.manifold.norm(f.values[graph.src[idx]], H.values[idx])
-    return out
+    return _on_active_edges(graph, f, lambda src, dst, sel: f.manifold.dist(
+        f.values[src], f.values[dst]))
 
 
 def _edge_inners(graph, f: VertexFunction, A, B):
     """Pointwise edge inner products, zero on inactive edges."""
-    ae = active_edge_mask(graph, f)
-    if ae is None:
-        return f.manifold.inner(f.values[graph.src], A, B)
-    out = np.zeros(graph.n_edges)
-    idx = np.flatnonzero(ae)
-    if idx.size:
-        out[idx] = f.manifold.inner(f.values[graph.src[idx]], A[idx], B[idx])
-    return out
+    return _on_active_edges(graph, f, lambda src, dst, sel: f.manifold.inner(
+        f.values[src], A[sel], B[sel]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +204,8 @@ def edge_norm_pq(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("edge norm exponents must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    norms = _edge_norms(graph, f, H)
+    norms = _on_active_edges(graph, f, lambda src, dst, sel: f.manifold.norm(
+        f.values[src], H.values[sel]))
     S = np.bincount(graph.src, weights=norms ** q,
                     minlength=graph.n_vertices)
     return float(((2.0 / p) * np.sum(S ** (p / q))) ** (1.0 / p))
@@ -261,13 +248,8 @@ def grad_div_identity(graph, f: VertexFunction, H: TangentEdgeFunction):
 
     logs, _ = edge_logs(graph, f)
     ps = f.manifold.point_shape
-    ae = active_edge_mask(graph, f)
-    back = np.zeros_like(H.values)
-    idx = np.arange(graph.n_edges) if ae is None else np.flatnonzero(ae)
-    if idx.size:
-        back[idx] = f.manifold.transport(f.values[graph.dst[idx]],
-                                         f.values[graph.src[idx]],
-                                         H.values[rev[idx]])
+    back = _on_active_edges(graph, f, lambda s, d, sel: f.manifold.transport(
+        f.values[d], f.values[s], H.values[rev[sel]]))
     T = 0.5 * (_expand(np.sqrt(graph.weight), ps) * H.values
                - _expand(np.sqrt(graph.weight[rev]), ps) * back)
     rhs = float(np.sum(_edge_inners(graph, f, logs, T)))
@@ -438,6 +420,22 @@ def _data_sq(f: VertexFunction, f0: VertexFunction):
     return float(np.sum(d * d))
 
 
+def _energy(graph, f: VertexFunction, f0: VertexFunction, lam, p, model, d):
+    """Model energy of f given its edge distances ``d`` (zero when inactive).
+
+    The regularizer is ``(1/p) sum over directed edges (sqrt(w) d)^p``
+    (aniso) or ``(1/p) sum_u (sum_v w d^2)^(p/2)`` (iso).
+    """
+    w = graph.weight
+    if model == "aniso":
+        reg = np.sum((np.sqrt(w) * d) ** p) / p
+    else:
+        S = np.bincount(graph.src, weights=w * d * d,
+                        minlength=graph.n_vertices)
+        reg = np.sum(S ** (p / 2.0)) / p
+    return float(0.5 * lam * _data_sq(f, f0) + reg)
+
+
 def energy_aniso(graph, f: VertexFunction, f0: VertexFunction,
                  lam: float, p: float, eps_smooth: float = 0.0) -> float:
     """(lam/2) sum_u d(f,f0)^2 + (1/p) sum over directed edges (sqrt(w) d)^p.
@@ -447,9 +445,7 @@ def energy_aniso(graph, f: VertexFunction, f0: VertexFunction,
     """
     _check_pair(graph, f)
     _check_model_args(f, f0, lam, p)
-    d = _edge_dists(graph, f)
-    reg = np.sum((np.sqrt(graph.weight) * d) ** p) / p
-    return float(0.5 * lam * _data_sq(f, f0) + reg)
+    return _energy(graph, f, f0, lam, p, "aniso", _edge_dists(graph, f))
 
 
 def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
@@ -457,11 +453,7 @@ def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
     """(lam/2) sum_u d(f,f0)^2 + (1/p) sum_u (sum_v w d^2)^(p/2)."""
     _check_pair(graph, f)
     _check_model_args(f, f0, lam, p)
-    d = _edge_dists(graph, f)
-    S = np.bincount(graph.src, weights=graph.weight * d * d,
-                    minlength=graph.n_vertices)
-    reg = np.sum(S ** (p / 2.0)) / p
-    return float(0.5 * lam * _data_sq(f, f0) + reg)
+    return _energy(graph, f, f0, lam, p, "iso", _edge_dists(graph, f))
 
 
 def _data_logs(f: VertexFunction, f0: VertexFunction):
@@ -512,33 +504,18 @@ def energy_gradient(graph, f: VertexFunction, f0: VertexFunction, lam: float,
     Returns the gradient of ``energy_aniso``/``energy_iso`` at fidelity
     ``lam``: the data part ``-lam log_f f0`` plus the full derivative of
     the regularizer, with both endpoint contributions of every edge term
-    included.  On graphs with symmetric weights this is
-    ``2 * residual`` of the same model at fidelity ``lam / 2``.  For the
-    vertex-wise model this needs a symmetric edge set; the reverse weight
-    w(v, u) is read from it.
+    included.  That is ``2 * residual`` of the same model at fidelity
+    ``lam / 2``, which holds only on graphs with a symmetric edge set and
+    symmetric weights; other graphs are rejected.
     """
     _check_pair(graph, f)
     _check_model_args(f, f0, lam, p)
-    ps = f.manifold.point_shape
-    dl = lam * _data_logs(f, f0) if lam > 0 else 0.0
-
-    if model == "aniso":
-        lap = aniso_p_laplacian(graph, f, p, eps_smooth)
-        return TangentVertexField(f, 2.0 * lap.values - dl)
-    if model != "iso":
-        raise DomainError(f"unknown model {model!r}")
-
     rev = graph.reverse_edge_index
-    if np.any(rev < 0):
-        raise DomainError(
-            "the vertex-wise energy gradient requires a symmetric edge set")
-    logs, d = edge_logs(graph, f)
-    S = np.bincount(graph.src, weights=graph.weight * d * d,
-                    minlength=graph.n_vertices)
-    alpha = _iso_alpha(S, p, eps_smooth)
-    beta = alpha[graph.src] * graph.weight + alpha[graph.dst] * graph.weight[rev]
-    vals = -_scatter(graph.src, _expand(beta, ps) * logs, graph.n_vertices)
-    return TangentVertexField(f, vals - dl)
+    if np.any(rev < 0) or np.any(graph.weight[rev] != graph.weight):
+        raise DomainError("the energy gradient requires a symmetric edge set "
+                          "with symmetric weights")
+    half = residual(graph, f, f0, lam / 2.0, p, model, eps_smooth)
+    return TangentVertexField(f, 2.0 * half.values)
 
 
 def grad_dist_pow(x: ManifoldPoint, y: ManifoldPoint, p: float

@@ -118,11 +118,9 @@ class WeightedGraph:
 # constructors
 # ---------------------------------------------------------------------------
 
-def grid_graph(height, width, connectivity=4) -> WeightedGraph:
-    """Regular image grid, each pixel joined to its direct neighbours with
+def grid_graph(height, width) -> WeightedGraph:
+    """Regular image grid, each pixel joined to its 4 direct neighbours with
     unit weight.  Boundary pixels simply have fewer neighbours."""
-    if connectivity != 4:
-        raise ConfigError("only 4-connectivity is supported")
     h, w = int(height), int(width)
     if h < 1 or w < 1:
         raise DomainError("grid dimensions must be >= 1")

@@ -71,10 +71,6 @@ class Manifold:
     injectivity_radius: float
 
     @property
-    def ambient_dim(self) -> int:
-        return int(np.prod(self.point_shape))
-
-    @property
     def params(self) -> dict:
         return {}
 
@@ -106,13 +102,6 @@ class Manifold:
     def random_tangent(self, x, sigma, rng):
         """Isotropic Gaussian tangent draw: E ||v||_x^2 = sigma^2 * intrinsic_dim."""
         raise NotImplementedError
-
-    def zero_tangent(self, x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    def project(self, x):
-        """Map slightly-off-manifold coordinates back onto the manifold."""
-        return np.asarray(x, dtype=np.float64)
 
     # -- validation --------------------------------------------------------
 
@@ -234,9 +223,6 @@ class Circle(Manifold):
         x = self._check_shape(x)
         return rng.normal(0.0, sigma, size=x.shape)
 
-    def project(self, x):
-        return wrap_angle(x)
-
     def check_point(self, x):
         x = self._check_shape(x)
         th = x[..., 0]
@@ -329,10 +315,6 @@ class Sphere2(Manifold):
         e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
         e2 = np.cross(x, e1)
         return e1, e2
-
-    def project(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
     def check_point(self, x):
         x = self._check_shape(x)
@@ -455,9 +437,6 @@ class Spd(Manifold):
         s = g + np.swapaxes(g, -1, -2)
         rt, _ = self._roots(x)
         return _sym(rt @ s @ rt)
-
-    def project(self, x):
-        return _sym(np.asarray(x, dtype=np.float64))
 
     def check_point(self, x):
         x = self._check_shape(x)

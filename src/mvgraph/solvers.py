@@ -23,11 +23,14 @@ while ``T`` is not.  A jacobi run that meets the change test therefore ends
 with ``reason="converged"`` only if ``max ||T|| <=
 JACOBI_RESIDUAL_FACTOR * lam * stop_tol`` at that iterate, and with
 ``reason="stalled"`` otherwise.  The explicit change is ``dt * ||T||`` at a
-fixed dt, so the change test alone bounds its residual.  On
-manifolds with a finite injectivity radius each sweep's result is checked
-for admissibility; a violation raises an injectivity error unless
-``halve_dt_on_injectivity`` is set, in which case the offending (explicit)
-sweep is retried with a halved dt.  The halving is per-sweep: the next
+fixed dt, so the change test alone bounds its residual.
+
+One edge pass per iterate: ``edge_logs`` runs once on the start and once
+on each sweep's result, and that pass serves as the admissibility check
+(an active edge beyond the injectivity bound raises an injectivity
+error), the next sweep's ``T``, the energy-trace entry and the final
+residual.  With ``halve_dt_on_injectivity`` a violating (explicit) sweep
+is retried with a halved dt instead.  The halving is per-sweep: the next
 sweep starts again from the configured dt.
 """
 
@@ -38,9 +41,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calculus import (EPS_SMOOTH_DEFAULT, _data_logs, _edge_coefficients,
-                       _expand, _scatter, edge_logs, energy_aniso, energy_iso)
+                       _energy, _expand, _scatter, edge_logs)
 from .errors import ConfigError, DomainError, InjectivityError
-from .fields import VertexFunction, check_admissible
+from .fields import VertexFunction
 from .graphs import WeightedGraph
 
 JACOBI_MIN_LAM = 1e-6
@@ -66,7 +69,6 @@ class SolverConfig:
     stop_tol: float = 1e-7
     scheme: str = "explicit"
     record_energy: bool = False
-    rng_seed: int = 0          # reserved; the schemes are deterministic
     halve_dt_on_injectivity: bool = False
 
     def validate(self):
@@ -115,16 +117,15 @@ class SolveReport:
 
 
 def _descent_tangent(graph, f: VertexFunction, f0: VertexFunction,
-                     cfg: SolverConfig):
-    """Per-vertex update direction T and coefficient sums (see module doc)."""
-    logs, d = edge_logs(graph, f)
+                     cfg: SolverConfig, logs, d):
+    """Per-vertex update direction T and edge coefficients (see module doc),
+    from the edge pass ``(logs, d) = edge_logs(graph, f)``."""
     b = _edge_coefficients(graph, f, d, cfg.model, cfg.p, cfg.eps_smooth)
     ps = f.manifold.point_shape
     T = _scatter(graph.src, _expand(b, ps) * logs, graph.n_vertices)
-    bsum = np.bincount(graph.src, weights=b, minlength=graph.n_vertices)
     if cfg.lam > 0:
         T += cfg.lam * _data_logs(f, f0)
-    return T, bsum
+    return T, b
 
 
 def _masked_exp(f: VertexFunction, step):
@@ -139,10 +140,20 @@ def _masked_exp(f: VertexFunction, step):
     return f.with_values(out)
 
 
-def _checked(graph, new: VertexFunction):
-    if np.isfinite(new.manifold.injectivity_radius):
-        check_admissible(graph, new)
-    return new
+def _advance(graph, f, f0, cfg, edges, scheme):
+    """One sweep of ``scheme`` from f and its edge pass ``edges``.
+
+    Returns the new iterate with its own edge pass.  That pass raises an
+    injectivity error when the new iterate leaves the admissible set.
+    """
+    T, b = _descent_tangent(graph, f, f0, cfg, *edges)
+    if scheme == "jacobi":
+        bsum = np.bincount(graph.src, weights=b, minlength=graph.n_vertices)
+        step = T / _expand(cfg.lam + bsum, f.manifold.point_shape)
+    else:
+        step = cfg.dt * T
+    new = _masked_exp(f, step)
+    return new, edge_logs(graph, new)
 
 
 def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
@@ -152,29 +163,29 @@ def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
     Raises an injectivity error when the update leaves the admissible set.
     (Not validated against the config: ``dt = 0`` is the exact identity.)
     """
-    T, _ = _descent_tangent(graph, f, f0, cfg)
-    return _checked(graph, _masked_exp(f, cfg.dt * T))
+    return _advance(graph, f, f0, cfg, edge_logs(graph, f), "explicit")[0]
 
 
 def jacobi_step(graph, f: VertexFunction, f0: VertexFunction,
                 cfg: SolverConfig) -> VertexFunction:
-    """One semi-implicit sweep ``exp_{f(u)}(T(u) / (lam + sum_v b(u,v)))``."""
+    """One semi-implicit sweep ``exp_{f(u)}(T(u) / (lam + sum_v b(u,v)))``.
+
+    Raises an injectivity error when the update leaves the admissible set.
+    """
     if cfg.lam <= 0:
         raise ConfigError("jacobi_step requires lam > 0")
-    T, bsum = _descent_tangent(graph, f, f0, cfg)
-    step = T / _expand(cfg.lam + bsum, f.manifold.point_shape)
-    return _checked(graph, _masked_exp(f, step))
+    return _advance(graph, f, f0, cfg, edge_logs(graph, f), "jacobi")[0]
 
 
-def _sweep(graph, f, f0, cfg):
-    if cfg.scheme == "jacobi":
-        return jacobi_step(graph, f, f0, cfg)
-    if not cfg.halve_dt_on_injectivity:
-        return explicit_step(graph, f, f0, cfg)
+def _sweep(graph, f, f0, cfg, edges):
+    """One sweep of the configured scheme; see :func:`_advance`."""
+    if cfg.scheme == "jacobi" or not cfg.halve_dt_on_injectivity:
+        return _advance(graph, f, f0, cfg, edges, cfg.scheme)
     dt = cfg.dt
     for _ in range(_MAX_HALVINGS):
         try:
-            return explicit_step(graph, f, f0, replace(cfg, dt=dt))
+            return _advance(graph, f, f0, replace(cfg, dt=dt), edges,
+                            "explicit")
         except InjectivityError:
             dt *= 0.5
     raise InjectivityError(
@@ -201,15 +212,15 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
                            validate=False)
 
     act = np.flatnonzero(f.active)
-    energy_fn = energy_aniso if cfg.model == "aniso" else energy_iso
+    edges = edge_logs(graph, f)
     etrace = None
     if cfg.record_energy:
-        etrace = [energy_fn(graph, f, f0, cfg.lam, cfg.p)]
+        etrace = [_energy(graph, f, f0, cfg.lam, cfg.p, cfg.model, edges[1])]
 
     changes = []
     reason = "max_iters"
     for _ in range(cfg.max_iters):
-        f_new = _sweep(graph, f, f0, cfg)
+        f_new, edges = _sweep(graph, f, f0, cfg, edges)
         if act.size:
             d = f.manifold.dist(f.values[act], f_new.values[act])
             change = float(np.mean(d))
@@ -218,12 +229,13 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
         f = f_new
         changes.append(change)
         if etrace is not None:
-            etrace.append(energy_fn(graph, f, f0, cfg.lam, cfg.p))
+            etrace.append(_energy(graph, f, f0, cfg.lam, cfg.p, cfg.model,
+                                  edges[1]))
         if change < cfg.stop_tol:
             reason = "converged"
             break
 
-    T, _ = _descent_tangent(graph, f, f0, cfg)
+    T, _ = _descent_tangent(graph, f, f0, cfg, *edges)
     rmax = float(f.manifold.norm(f.values[act], T[act]).max()) if act.size \
         else 0.0
     if (reason == "converged" and cfg.scheme == "jacobi"

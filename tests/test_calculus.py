@@ -515,6 +515,17 @@ def test_energy_gradient_matches_finite_differences(rng):
         assert fd == pytest.approx(pairing, rel=2e-5)
 
 
+@pytest.mark.parametrize("model", ["aniso", "iso"])
+def test_energy_gradient_rejects_unequal_reverse_weights(model):
+    # symmetric edge set, w(0,1) != w(1,0): 2 residual at lam/2 is not the
+    # gradient of the energy there
+    c = Circle()
+    g = WeightedGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 2.0)])
+    f = VertexFunction(c, np.array([[0.0], [1.0]]))
+    with pytest.raises(DomainError):
+        energy_gradient(g, f, f, lam=1.0, p=1.0, model=model)
+
+
 def test_grad_dist_pow():
     e2 = Euclidean(2)
     x = ManifoldPoint(e2, [1.0, 1.0])

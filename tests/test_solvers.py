@@ -1,10 +1,13 @@
 """Iteration oracles: frozen single-step values, fixed points, stopping
 behaviour, masked handling, and the injectivity back-off."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import clustered_vertex_function, random_symmetric_graph
+from mvgraph.calculus import energy_aniso, energy_iso
 from mvgraph.errors import ConfigError, InjectivityError
 from mvgraph.fields import VertexFunction
 from mvgraph.graphs import WeightedGraph, grid_graph
@@ -372,3 +375,65 @@ def test_injectivity_backoff_halves_dt():
                                 halve_dt_on_injectivity=True))
     assert rep3.iterations == 3
     assert np.all(np.isfinite(f3.values))
+
+
+def test_explicit_step_raises_on_injectivity_violation():
+    # the single step of the instance above, outside solve
+    c = Circle()
+    g = path_graph([1.0])
+    f0 = VertexFunction(c, np.array([[0.0], [2.0]]))
+    bad_dt = (2.0 + np.pi) / 4.0
+    with pytest.raises(InjectivityError):
+        explicit_step(g, f0, f0, cfg(lam=0.0, dt=bad_dt))
+
+
+# ---------------------------------------------------------------------------
+# one edge pass per iterate
+# ---------------------------------------------------------------------------
+
+def test_solve_makes_one_edge_pass_per_iterate(rng):
+    rows = []
+
+    class CountingSphere2(Sphere2):
+        def log_and_dist(self, x, y):
+            rows.append(len(x))
+            return super().log_and_dist(x, y)
+
+        def dist(self, x, y):
+            rows.append(len(x))
+            return super().dist(x, y)
+
+    s = CountingSphere2()
+    g = grid_graph(6, 5)
+    f0 = clustered_vertex_function(s, rng, g.n_vertices, spread=0.5)
+    k = 7
+    rows.clear()
+    _, rep = solve(g, f0, cfg(lam=0.0, dt=0.05, max_iters=k, stop_tol=0.0))
+    assert rep.iterations == k
+    m, n = g.n_edges, g.n_vertices
+    # edge logs of the start and of each sweep's result, plus the mean
+    # change of each sweep over the vertices
+    assert sorted(rows) == sorted([m] * (k + 1) + [n] * k)
+
+
+@pytest.mark.parametrize("manifold,model,masked", [
+    (Sphere2(), "aniso", False), (Sphere2(), "iso", False),
+    (Circle(), "aniso", False), (Circle(), "iso", False),
+    (Sphere2(), "iso", True)])
+def test_energy_trace_matches_energy_of_iterates(manifold, model, masked,
+                                                 rng):
+    g = random_symmetric_graph(rng, 12)
+    mask = np.arange(12) % 5 != 3 if masked else None
+    f0 = clustered_vertex_function(manifold, rng, 12, spread=0.8, mask=mask)
+    energy = energy_aniso if model == "aniso" else energy_iso
+    c = cfg(model=model, p=1.0, lam=0.7, dt=0.02, stop_tol=0.0,
+            record_energy=True)
+    k = 6
+    _, rep = solve(g, f0, replace(c, max_iters=k))
+    assert len(rep.energy_trace) == k + 1
+    assert rep.energy_trace[0] == pytest.approx(
+        energy(g, f0, f0, 0.7, 1.0), rel=1e-12)
+    for i in range(1, k + 1):
+        fi, _ = solve(g, f0, replace(c, max_iters=i))
+        assert rep.energy_trace[i] == pytest.approx(
+            energy(g, fi, f0, 0.7, 1.0), rel=1e-12)
