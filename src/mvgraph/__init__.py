@@ -1,8 +1,8 @@
 """Calculus, p-Laplace operators and denoising flows for manifold-valued
 functions on weighted graphs."""
 
-from .errors import (ConfigError, DomainError, FormatError, InjectivityError,
-                     MvgraphError)
+from .errors import (ConfigError, DivergenceError, DomainError, FormatError,
+                     InjectivityError, MvgraphError)
 from .manifolds import (Circle, Euclidean, Manifold, ManifoldPoint, Spd,
                         Sphere2, TangentVector, from_kind)
 from .fields import TangentEdgeFunction, TangentVertexField, VertexFunction
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MvgraphError", "ConfigError", "DomainError", "InjectivityError",
-    "FormatError",
+    "DivergenceError", "FormatError",
     "Manifold", "Euclidean", "Circle", "Sphere2", "Spd", "ManifoldPoint",
     "TangentVector", "from_kind",
     "VertexFunction", "TangentVertexField", "TangentEdgeFunction",

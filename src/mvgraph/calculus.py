@@ -47,10 +47,11 @@ def _expand(arr, point_shape):
     return np.asarray(arr).reshape(np.shape(arr) + (1,) * len(point_shape))
 
 
-def _scatter(index, terms, n):
-    """Sum per-edge tangent ``terms`` into per-vertex rows."""
+def _scatter(graph, terms):
+    """Sum per-edge scalar or tangent ``terms`` over each vertex's out-edges."""
+    n = graph.n_vertices
     flat = terms.reshape(terms.shape[0], -1)
-    cols = [np.bincount(index, weights=flat[:, j], minlength=n)
+    cols = [np.bincount(graph.src, weights=flat[:, j], minlength=n)
             for j in range(flat.shape[1])]
     return np.stack(cols, axis=1).reshape((n,) + terms.shape[1:])
 
@@ -180,7 +181,7 @@ def divergence(graph, f: VertexFunction, H: TangentEdgeFunction
                                     H.values[r])
         terms[idx] += _expand(np.sqrt(graph.weight[r]), ps) * back
 
-    vals = 0.5 * _scatter(graph.src, terms, graph.n_vertices)
+    vals = 0.5 * _scatter(graph, terms)
     return TangentVertexField(f, vals)
 
 
@@ -206,8 +207,7 @@ def edge_norm_pq(graph, f: VertexFunction, H: TangentEdgeFunction,
     _check_edge_fn(graph, H)
     norms = _on_active_edges(graph, f, lambda src, dst, sel: f.manifold.norm(
         f.values[src], H.values[sel]))
-    S = np.bincount(graph.src, weights=norms ** q,
-                    minlength=graph.n_vertices)
+    S = _scatter(graph, norms ** q)
     return float(((2.0 / p) * np.sum(S ** (p / q))) ** (1.0 / p))
 
 
@@ -286,20 +286,13 @@ def vertex_norm_p(graph, f: VertexFunction, p: float) -> float:
     if p <= 0:
         raise DomainError("vertex norm exponent must be positive")
     d = _edge_dists(graph, f)
-    S = np.bincount(graph.src, weights=d * d, minlength=graph.n_vertices)
+    S = _scatter(graph, d * d)
     return float(np.sum(S ** (p / 2.0)) ** (1.0 / p))
 
 
 def vertex_distance(f: VertexFunction, g: VertexFunction) -> float:
     """l2 aggregate of pointwise geodesic distances over shared active set."""
-    if g.manifold != f.manifold:
-        raise DomainError("vertex distance requires a common manifold")
-    if g.n_vertices != f.n_vertices:
-        raise DomainError("vertex distance requires equal vertex counts")
-    act = f.active & g.active
-    if not act.any():
-        return 0.0
-    d = f.manifold.dist(f.values[act], g.values[act])
+    d = f.dists_to(g)
     return float(np.sqrt(np.sum(d * d)))
 
 
@@ -348,8 +341,7 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
     if model == "aniso":
         b = np.sqrt(w) ** p * _aniso_coeff(d, p, eps_smooth)
     elif model == "iso":
-        S = np.bincount(graph.src, weights=w * d * d,
-                        minlength=graph.n_vertices)
+        S = _scatter(graph, w * d * d)
         alpha = _iso_alpha(S, p, eps_smooth)
         b = 0.5 * w * (alpha[graph.src] + alpha[graph.dst])
     else:
@@ -360,14 +352,22 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
     return b
 
 
-def _p_laplacian(graph, f: VertexFunction, p, eps_smooth, model):
+def _residual(graph, f: VertexFunction, f0, lam, p, model, eps_smooth,
+              logs, d):
+    """Residual ``R = -sum_v b(u,v) log_{f(u)} f(v) - lam log_{f(u)} f0(u)``
+    and the edge coefficients ``b``, from the edge pass
+    ``(logs, d) = edge_logs(graph, f)``.
+
+    With ``lam = 0`` this is the p-Laplacian of the model; ``f0`` is read
+    only when ``lam > 0``.
+    """
     if p <= 0:
         raise DomainError("p must be positive")
-    logs, d = edge_logs(graph, f)
-    coef = _edge_coefficients(graph, f, d, model, p, eps_smooth)
-    terms = -_expand(coef, f.manifold.point_shape) * logs
-    return TangentVertexField(f, _scatter(graph.src, terms,
-                                          graph.n_vertices))
+    b = _edge_coefficients(graph, f, d, model, p, eps_smooth)
+    R = _scatter(graph, -_expand(b, f.manifold.point_shape) * logs)
+    if lam > 0:
+        R -= lam * _data_logs(f, f0)
+    return R, b
 
 
 def aniso_p_laplacian(graph, f: VertexFunction, p: float,
@@ -380,7 +380,9 @@ def aniso_p_laplacian(graph, f: VertexFunction, p: float,
     On symmetric graphs this is ``div`` of the flux
     ``||grad f(u,v)||^{p-2} grad f(u,v)``.
     """
-    return _p_laplacian(graph, f, p, eps_smooth, "aniso")
+    R, _ = _residual(graph, f, None, 0.0, p, "aniso", eps_smooth,
+                     *edge_logs(graph, f))
+    return TangentVertexField(f, R)
 
 
 def iso_p_laplacian(graph, f: VertexFunction, p: float,
@@ -394,7 +396,9 @@ def iso_p_laplacian(graph, f: VertexFunction, p: float,
     symmetric weights this equals ``divergence`` of the flux
     ``alpha_u grad f(u, v)``; at p = 2 it equals the anisotropic operator.
     """
-    return _p_laplacian(graph, f, p, eps_smooth, "iso")
+    R, _ = _residual(graph, f, None, 0.0, p, "iso", eps_smooth,
+                     *edge_logs(graph, f))
+    return TangentVertexField(f, R)
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +416,6 @@ def _check_model_args(f, f0, lam, p):
         raise DomainError("p must be positive")
 
 
-def _data_sq(f: VertexFunction, f0: VertexFunction):
-    act = f.active & f0.active
-    if not act.any():
-        return 0.0
-    d = f.manifold.dist(f.values[act], f0.values[act])
-    return float(np.sum(d * d))
-
-
 def _energy(graph, f: VertexFunction, f0: VertexFunction, lam, p, model, d):
     """Model energy of f given its edge distances ``d`` (zero when inactive).
 
@@ -430,10 +426,9 @@ def _energy(graph, f: VertexFunction, f0: VertexFunction, lam, p, model, d):
     if model == "aniso":
         reg = np.sum((np.sqrt(w) * d) ** p) / p
     else:
-        S = np.bincount(graph.src, weights=w * d * d,
-                        minlength=graph.n_vertices)
-        reg = np.sum(S ** (p / 2.0)) / p
-    return float(0.5 * lam * _data_sq(f, f0) + reg)
+        reg = np.sum(_scatter(graph, w * d * d) ** (p / 2.0)) / p
+    d0 = f.dists_to(f0)
+    return float(0.5 * lam * np.sum(d0 * d0) + reg)
 
 
 def energy_aniso(graph, f: VertexFunction, f0: VertexFunction,
@@ -483,16 +478,9 @@ def residual(graph, f: VertexFunction, f0: VertexFunction, lam: float,
     symmetric weights; it is the defect the solvers drive to zero.
     """
     _check_model_args(f, f0, lam, p)
-    if model == "aniso":
-        lap = aniso_p_laplacian(graph, f, p, eps_smooth)
-    elif model == "iso":
-        lap = iso_p_laplacian(graph, f, p, eps_smooth)
-    else:
-        raise DomainError(f"unknown model {model!r}")
-    vals = lap.values
-    if lam > 0:
-        vals = vals - lam * _data_logs(f, f0)
-    return TangentVertexField(f, vals)
+    R, _ = _residual(graph, f, f0, lam, p, model, eps_smooth,
+                     *edge_logs(graph, f))
+    return TangentVertexField(f, R)
 
 
 def energy_gradient(graph, f: VertexFunction, f0: VertexFunction, lam: float,

@@ -236,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
     d.add_argument("--tol", type=float, default=1e-7)
     d.add_argument("--trace", default=None,
-                   help="write per-sweep energy/change CSV here")
+                   help="write per-sweep energy/change CSV here; its "
+                        "avg_rel_change column is the mean geodesic change "
+                        "of a sweep over active vertices")
     d.add_argument("--halve-dt", dest="halve_dt", action="store_true",
                    help="retry an explicit sweep at halved dt instead of "
                         "failing on an injectivity violation")

@@ -30,5 +30,10 @@ class InjectivityError(DomainError):
         self.neighbor = neighbor
 
 
+class DivergenceError(DomainError):
+    """An iteration diverged: a sweep produced a non-finite iterate or a
+    failed linear-algebra kernel (CLI exit code 3)."""
+
+
 class FormatError(MvgraphError, ValueError):
     """Malformed file content (CLI exit code 3)."""

@@ -64,6 +64,21 @@ class VertexFunction:
     def n_active(self) -> int:
         return self.n_vertices if self.mask is None else int(self.mask.sum())
 
+    def dists_to(self, other: "VertexFunction") -> np.ndarray:
+        """Geodesic distances to ``other`` on the jointly active vertices.
+
+        Raises DomainError unless both functions share a manifold and a
+        vertex count.
+        """
+        if other.manifold != self.manifold:
+            raise DomainError(f"functions on different manifolds: "
+                              f"{self.manifold} vs {other.manifold}")
+        if other.n_vertices != self.n_vertices:
+            raise DomainError(f"functions with different vertex counts: "
+                              f"{self.n_vertices} vs {other.n_vertices}")
+        act = self.active & other.active
+        return self.manifold.dist(self.values[act], other.values[act])
+
     def check_points(self):
         """Validate the manifold invariants on all active vertices."""
         if self.mask is None:
@@ -107,9 +122,12 @@ class TangentVertexField:
         return self.manifold.norm(self.base.values, self.values)
 
     def max_norm(self) -> float:
-        n = self.norms()
-        active = self.base.active
-        return float(n[active].max()) if active.any() else 0.0
+        """Largest norm over the active vertices (0 when none is active)."""
+        act = self.base.active
+        if not act.any():
+            return 0.0
+        return float(self.manifold.norm(self.base.values[act],
+                                        self.values[act]).max())
 
 
 @dataclass(eq=False)

@@ -83,12 +83,11 @@ class Manifold:
         raise NotImplementedError
 
     def log(self, x, y):
-        raise NotImplementedError
+        return self.log_and_dist(x, y)[0]
 
     def log_and_dist(self, x, y):
         """Return ``(log_x y, dist(x, y))`` sharing intermediate work."""
-        v = self.log(x, y)
-        return v, self.norm(x, v)
+        raise NotImplementedError
 
     def transport(self, x, y, v):
         raise NotImplementedError
@@ -196,10 +195,6 @@ class Circle(Manifold):
     def exp(self, x, v):
         return wrap_angle(np.asarray(x, dtype=np.float64) + v)
 
-    def log(self, x, y):
-        v, d = self.log_and_dist(x, y)
-        return v
-
     def log_and_dist(self, x, y):
         x, y = self._check_shape(x), self._check_shape(y)
         v = wrap_angle(y - x)
@@ -262,10 +257,6 @@ class Sphere2(Manifold):
         # sinc(t/pi) = sin(t)/t, finite at t = 0
         y = np.cos(t) * x + np.sinc(t / np.pi) * v
         return y / np.linalg.norm(y, axis=-1, keepdims=True)
-
-    def log(self, x, y):
-        v, d = self.log_and_dist(x, y)
-        return v
 
     def log_and_dist(self, x, y):
         x, y = self._check_shape(x), self._check_shape(y)
@@ -402,10 +393,6 @@ class Spd(Manifold):
         s = _sym(irt @ v @ irt)
         w, q = np.linalg.eigh(s)
         return _sym(rt @ _eigh_recompose(q, np.exp(w)) @ rt)
-
-    def log(self, x, y):
-        v, _ = self.log_and_dist(x, y)
-        return v
 
     def log_and_dist(self, x, y):
         x = self._check_shape(x)

@@ -3,32 +3,33 @@
 Both schemes move every active vertex simultaneously, reading only the
 previous iterate (two-buffer Jacobi-style sweeps):
 
-* explicit: ``f_{n+1}(u) = exp_{f_n(u)}( dt * T(u) )``
-* jacobi:   ``f_{n+1}(u) = exp_{f_n(u)}( T(u) / (lam + sum_v b(u,v)) )``
+* explicit: ``f_{n+1}(u) = exp_{f_n(u)}( -dt * R(u) )``
+* jacobi:   ``f_{n+1}(u) = exp_{f_n(u)}( -R(u) / (lam + sum_v b(u,v)) )``
 
-where ``T(u) = sum_v b(u,v) log_{f_n(u)} f_n(v) + lam log_{f_n(u)} f0(u)``
-collects the model's edge coefficients ``b`` (which absorb the p-Laplacian
-weights, are smoothed for p < 2 and vanish on edges with an inactive
-endpoint) plus the data pull.  ``T = -residual``: on graphs with symmetric
-weights the explicit scheme is the descent flow of the model energy with
-each undirected edge counted once (half the energy at fidelity ``2 lam``),
-and a vanishing ``T`` is exactly the stationarity condition the residual
-diagnostic measures.
+where ``R(u) = -sum_v b(u,v) log_{f_n(u)} f_n(v) - lam log_{f_n(u)} f0(u)``
+is the model's residual (``calculus.residual``): the edge coefficients
+``b`` absorb the p-Laplacian weights, are smoothed for p < 2 and vanish on
+edges with an inactive endpoint.  On graphs with symmetric weights the
+explicit scheme is the descent flow of the model energy with each
+undirected edge counted once (half the energy at fidelity ``2 lam``), and
+a vanishing ``R`` is the stationarity condition.
 
 Stopping: after each sweep the mean geodesic change over active vertices is
 compared against ``stop_tol``; the run also ends at ``max_iters``.  A small
-jacobi change alone certifies nothing: the step is ``T / (lam + sum b)``,
+jacobi change alone certifies nothing: the step is ``-R / (lam + sum b)``,
 and a large damping ``sum b`` (p < 2 near collapsed regions) makes it small
-while ``T`` is not.  A jacobi run that meets the change test therefore ends
-with ``reason="converged"`` only if ``max ||T|| <=
+while ``R`` is not.  A jacobi run that meets the change test therefore ends
+with ``reason="converged"`` only if ``max ||R|| <=
 JACOBI_RESIDUAL_FACTOR * lam * stop_tol`` at that iterate, and with
-``reason="stalled"`` otherwise.  The explicit change is ``dt * ||T||`` at a
-fixed dt, so the change test alone bounds its residual.
+``reason="stalled"`` otherwise.  The explicit change is ``dt * ||R||`` at a
+fixed dt, so the change test alone bounds its residual.  A sweep whose
+change is not finite, or whose linear algebra fails, raises
+``DivergenceError`` naming the sweep.
 
 One edge pass per iterate: ``edge_logs`` runs once on the start and once
 on each sweep's result, and that pass serves as the admissibility check
 (an active edge beyond the injectivity bound raises an injectivity
-error), the next sweep's ``T``, the energy-trace entry and the final
+error), the next sweep's ``R``, the energy-trace entry and the final
 residual.  With ``halve_dt_on_injectivity`` a violating (explicit) sweep
 is retried with a halved dt instead.  The halving is per-sweep: the next
 sweep starts again from the configured dt.
@@ -40,14 +41,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import (EPS_SMOOTH_DEFAULT, _data_logs, _edge_coefficients,
-                       _energy, _expand, _scatter, edge_logs)
-from .errors import ConfigError, DomainError, InjectivityError
-from .fields import VertexFunction
+from .calculus import (EPS_SMOOTH_DEFAULT, _energy, _expand, _residual,
+                       _scatter, edge_logs)
+from .errors import ConfigError, DivergenceError, DomainError, InjectivityError
+from .fields import TangentVertexField, VertexFunction, check_admissible
 from .graphs import WeightedGraph
 
 JACOBI_MIN_LAM = 1e-6
-# A jacobi stop counts as converged only if max ||T|| <= this * lam * stop_tol.
+# A jacobi stop counts as converged only if max ||R|| <= this * lam * stop_tol.
 JACOBI_RESIDUAL_FACTOR = 1e3
 
 _MODELS = ("aniso", "iso")
@@ -104,8 +105,8 @@ class SolveReport:
     ``reason`` is ``"converged"`` (the change test held and, for jacobi,
     the residual certificate too), ``"stalled"`` (a jacobi change test held
     while ``residual_max`` is still above the certificate bound) or
-    ``"max_iters"``.  ``residual_max`` is the largest ``||T||`` over active
-    vertices at the returned iterate.
+    ``"max_iters"``.  ``residual_max`` is the largest ``||R||`` over active
+    vertices at the returned iterate, ``residual(...).max_norm()``.
     """
 
     iterations: int
@@ -114,18 +115,6 @@ class SolveReport:
     energy_trace: list | None = None
     residual_max: float = 0.0
     reason: str = "max_iters"
-
-
-def _descent_tangent(graph, f: VertexFunction, f0: VertexFunction,
-                     cfg: SolverConfig, logs, d):
-    """Per-vertex update direction T and edge coefficients (see module doc),
-    from the edge pass ``(logs, d) = edge_logs(graph, f)``."""
-    b = _edge_coefficients(graph, f, d, cfg.model, cfg.p, cfg.eps_smooth)
-    ps = f.manifold.point_shape
-    T = _scatter(graph.src, _expand(b, ps) * logs, graph.n_vertices)
-    if cfg.lam > 0:
-        T += cfg.lam * _data_logs(f, f0)
-    return T, b
 
 
 def _masked_exp(f: VertexFunction, step):
@@ -141,52 +130,63 @@ def _masked_exp(f: VertexFunction, step):
 
 
 def _advance(graph, f, f0, cfg, edges, scheme):
-    """One sweep of ``scheme`` from f and its edge pass ``edges``.
-
-    Returns the new iterate with its own edge pass.  That pass raises an
-    injectivity error when the new iterate leaves the admissible set.
-    """
-    T, b = _descent_tangent(graph, f, f0, cfg, *edges)
+    """The iterate after one sweep of ``scheme`` from f and its edge pass."""
+    R, b = _residual(graph, f, f0, cfg.lam, cfg.p, cfg.model,
+                     cfg.eps_smooth, *edges)
     if scheme == "jacobi":
-        bsum = np.bincount(graph.src, weights=b, minlength=graph.n_vertices)
-        step = T / _expand(cfg.lam + bsum, f.manifold.point_shape)
+        step = -R / _expand(cfg.lam + _scatter(graph, b),
+                            f.manifold.point_shape)
     else:
-        step = cfg.dt * T
-    new = _masked_exp(f, step)
-    return new, edge_logs(graph, new)
+        step = -cfg.dt * R
+    return _masked_exp(f, step)
+
+
+def _step(graph, f, f0, cfg, scheme):
+    """One public sweep; only manifolds with a finite injectivity radius
+    can leave the admissible set, so only those are checked."""
+    new = _advance(graph, f, f0, cfg, edge_logs(graph, f), scheme)
+    if np.isfinite(f.manifold.injectivity_radius):
+        check_admissible(graph, new)
+    return new
 
 
 def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
                   cfg: SolverConfig) -> VertexFunction:
-    """One explicit sweep ``exp_{f(u)}(dt * T(u))`` over active vertices.
+    """One explicit sweep ``exp_{f(u)}(-dt * R(u))`` over active vertices.
 
     Raises an injectivity error when the update leaves the admissible set.
     (Not validated against the config: ``dt = 0`` is the exact identity.)
     """
-    return _advance(graph, f, f0, cfg, edge_logs(graph, f), "explicit")[0]
+    return _step(graph, f, f0, cfg, "explicit")
 
 
 def jacobi_step(graph, f: VertexFunction, f0: VertexFunction,
                 cfg: SolverConfig) -> VertexFunction:
-    """One semi-implicit sweep ``exp_{f(u)}(T(u) / (lam + sum_v b(u,v)))``.
+    """One semi-implicit sweep ``exp_{f(u)}(-R(u) / (lam + sum_v b(u,v)))``.
 
     Raises an injectivity error when the update leaves the admissible set.
     """
     if cfg.lam <= 0:
         raise ConfigError("jacobi_step requires lam > 0")
-    return _advance(graph, f, f0, cfg, edge_logs(graph, f), "jacobi")[0]
+    return _step(graph, f, f0, cfg, "jacobi")
 
 
 def _sweep(graph, f, f0, cfg, edges):
-    """One sweep of the configured scheme; see :func:`_advance`."""
-    if cfg.scheme == "jacobi" or not cfg.halve_dt_on_injectivity:
-        return _advance(graph, f, f0, cfg, edges, cfg.scheme)
+    """One sweep of the configured scheme: the new iterate and its edge pass.
+
+    That pass raises an injectivity error when the new iterate leaves the
+    admissible set; with ``halve_dt_on_injectivity`` an explicit sweep is
+    then retried at halved dt.
+    """
     dt = cfg.dt
     for _ in range(_MAX_HALVINGS):
         try:
-            return _advance(graph, f, f0, replace(cfg, dt=dt), edges,
-                            "explicit")
+            new = _advance(graph, f, f0, replace(cfg, dt=dt), edges,
+                           cfg.scheme)
+            return new, edge_logs(graph, new)
         except InjectivityError:
+            if cfg.scheme == "jacobi" or not cfg.halve_dt_on_injectivity:
+                raise
             dt *= 0.5
     raise InjectivityError(
         f"explicit sweep still inadmissible after {_MAX_HALVINGS} dt halvings")
@@ -211,7 +211,6 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
                            None if f0.mask is None else f0.mask.copy(),
                            validate=False)
 
-    act = np.flatnonzero(f.active)
     edges = edge_logs(graph, f)
     etrace = None
     if cfg.record_energy:
@@ -219,13 +218,16 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
 
     changes = []
     reason = "max_iters"
-    for _ in range(cfg.max_iters):
-        f_new, edges = _sweep(graph, f, f0, cfg, edges)
-        if act.size:
-            d = f.manifold.dist(f.values[act], f_new.values[act])
-            change = float(np.mean(d))
-        else:
-            change = 0.0
+    for k in range(1, cfg.max_iters + 1):
+        try:
+            f_new, edges = _sweep(graph, f, f0, cfg, edges)
+            d = f.dists_to(f_new)
+        except np.linalg.LinAlgError as err:
+            raise DivergenceError(f"sweep {k} diverged: {err}") from err
+        change = float(np.mean(d)) if d.size else 0.0
+        if not np.isfinite(change):
+            raise DivergenceError(f"sweep {k} diverged: its mean change is "
+                                  f"{change}")
         f = f_new
         changes.append(change)
         if etrace is not None:
@@ -235,9 +237,9 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
             reason = "converged"
             break
 
-    T, _ = _descent_tangent(graph, f, f0, cfg, *edges)
-    rmax = float(f.manifold.norm(f.values[act], T[act]).max()) if act.size \
-        else 0.0
+    R, _ = _residual(graph, f, f0, cfg.lam, cfg.p, cfg.model,
+                     cfg.eps_smooth, *edges)
+    rmax = TangentVertexField(f, R).max_norm()
     if (reason == "converged" and cfg.scheme == "jacobi"
             and rmax > JACOBI_RESIDUAL_FACTOR * cfg.lam * cfg.stop_tol):
         reason = "stalled"

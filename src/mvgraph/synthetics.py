@@ -79,15 +79,8 @@ def add_noise(f: VertexFunction, spec: NoiseSpec) -> VertexFunction:
 
 def mse(f: VertexFunction, g: VertexFunction) -> float:
     """Mean squared geodesic distance over jointly active vertices."""
-    if g.manifold != f.manifold:
-        raise DomainError("mse requires a common manifold")
-    if g.n_vertices != f.n_vertices:
-        raise DomainError("mse requires equal vertex counts")
-    act = f.active & g.active
-    if not act.any():
-        return 0.0
-    d = f.manifold.dist(f.values[act], g.values[act])
-    return float(np.mean(d * d))
+    d = f.dists_to(g)
+    return float(np.mean(d * d)) if d.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,19 @@ def test_vertex_distance_example():
     assert vertex_distance(f, f) == 0.0
 
 
+def test_dists_to_jointly_active_and_rejections():
+    c = Circle()
+    f = VertexFunction(c, np.array([[0.0], [0.5], [1.0]]),
+                       np.array([True, False, True]))
+    g_ = VertexFunction(c, np.array([[0.25], [3.0], [1.0]]),
+                        np.array([True, True, False]))
+    np.testing.assert_allclose(f.dists_to(g_), [0.25])
+    with pytest.raises(DomainError):
+        f.dists_to(VertexFunction(Euclidean(1), np.zeros((3, 1))))
+    with pytest.raises(DomainError):
+        f.dists_to(VertexFunction(c, np.zeros((2, 1))))
+
+
 # ---------------------------------------------------------------------------
 # p-Laplacians
 # ---------------------------------------------------------------------------

@@ -255,6 +255,19 @@ def test_denoise_injectivity_exit_3(tmp_path, capsys):
     assert "antipodal" in err or "injectivity" in err
 
 
+def test_denoise_divergence_exit_3(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    src = tmp_path / "f.mvd"
+    save_mvd(src, VertexFunction(Euclidean(2), rng.normal(size=(64, 2))),
+             shape=(8, 8))
+    graph = tmp_path / "g.tsv"
+    run("build-graph", "--kind", "grid4", "--in", src, "--out", graph)
+    with np.errstate(all="ignore"):
+        assert run("denoise", "--in", src, "--graph", graph, "--lambda", 0,
+                   "--dt", 10, "--out", tmp_path / "o.mvd") == 3
+    assert "diverged" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import clustered_vertex_function, random_symmetric_graph
-from mvgraph.calculus import energy_aniso, energy_iso
-from mvgraph.errors import ConfigError, InjectivityError
+from conftest import (clustered_vertex_function, random_point,
+                      random_symmetric_graph)
+import mvgraph.solvers
+from mvgraph.calculus import energy_aniso, energy_iso, residual
+from mvgraph.errors import ConfigError, DivergenceError, InjectivityError
 from mvgraph.fields import VertexFunction
 from mvgraph.graphs import WeightedGraph, grid_graph
 from mvgraph.manifolds import Circle, Euclidean, Spd, Sphere2
@@ -416,6 +418,38 @@ def test_solve_makes_one_edge_pass_per_iterate(rng):
     assert sorted(rows) == sorted([m] * (k + 1) + [n] * k)
 
 
+def test_explicit_step_on_flat_data_makes_one_edge_pass(rng, monkeypatch):
+    calls = []
+    edge_logs = mvgraph.solvers.edge_logs
+
+    def counting(graph, f):
+        calls.append(f)
+        return edge_logs(graph, f)
+
+    monkeypatch.setattr(mvgraph.solvers, "edge_logs", counting)
+    g = grid_graph(4, 4)
+    f0 = VertexFunction(Euclidean(2), rng.normal(size=(16, 2)))
+    explicit_step(g, f0, f0, cfg(lam=0.5))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model,scheme,masked", [
+    ("aniso", "explicit", False), ("iso", "explicit", False),
+    ("aniso", "jacobi", False), ("iso", "jacobi", False),
+    ("iso", "jacobi", True)])
+def test_residual_max_is_the_residual_of_the_returned_iterate(
+        model, scheme, masked, rng):
+    s = Sphere2()
+    g = random_symmetric_graph(rng, 12)
+    mask = np.arange(12) % 5 != 3 if masked else None
+    f0 = clustered_vertex_function(s, rng, 12, spread=0.8, mask=mask)
+    c = cfg(model=model, scheme=scheme, p=1.0, lam=0.7, dt=0.02,
+            max_iters=8, stop_tol=0.0)
+    f, rep = solve(g, f0, c)
+    assert rep.residual_max == residual(g, f, f0, c.lam, c.p, model,
+                                        c.eps_smooth).max_norm()
+
+
 @pytest.mark.parametrize("manifold,model,masked", [
     (Sphere2(), "aniso", False), (Sphere2(), "iso", False),
     (Circle(), "aniso", False), (Circle(), "iso", False),
@@ -437,3 +471,20 @@ def test_energy_trace_matches_energy_of_iterates(manifold, model, masked,
         fi, _ = solve(g, f0, replace(c, max_iters=i))
         assert rep.energy_trace[i] == pytest.approx(
             energy(g, fi, f0, 0.7, 1.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# divergence
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("manifold,dt", [(Euclidean(2), 10.0), (Spd(3), 50.0)],
+                         ids=lambda x: getattr(x, "kind", x))
+def test_diverging_run_raises_divergence_error(manifold, dt):
+    # dt far above the grid's stability bound: the Euclidean iterate
+    # overflows, and the SPD eigensolver fails on the second sweep
+    g = grid_graph(8, 8)
+    f0 = VertexFunction(manifold,
+                        random_point(manifold, np.random.default_rng(0), 64))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError,
+                                                  match="sweep"):
+        solve(g, f0, cfg(lam=0.0, dt=dt, max_iters=1000))
