@@ -79,17 +79,23 @@ def _reraise_with_edge(err: InjectivityError, src, dst):
 
 
 def _on_active_edges(graph, f: VertexFunction, op):
-    """Evaluate ``op(src, dst, sel)`` on the active edges only.
+    """Evaluate ``op(src, dst, sel, rev)`` on the active edges only.
 
-    ``src``/``dst`` are the endpoints of the active edges and ``sel`` selects
-    their rows from per-edge arrays.  Each array ``op`` returns (one, or a
-    tuple) is spread over all edges with zeros on inactive edges.
+    ``src``/``dst`` are the endpoints of the active edges, ``sel`` selects
+    their rows from per-edge arrays and ``rev`` is the reverse edge index
+    among them (the reverse of an active edge is active; -1 when absent).
+    Each array ``op`` returns (one, or a tuple) is spread over all edges
+    with zeros on inactive edges.
     """
     ae = active_edge_mask(graph, f)
+    rev = graph.reverse_edge_index
     if ae is None:
-        return op(graph.src, graph.dst, slice(None))
+        return op(graph.src, graph.dst, slice(None), rev)
     idx = np.flatnonzero(ae)
-    res = op(graph.src[idx], graph.dst[idx], idx)
+    pos = np.full(graph.n_edges, -1)
+    pos[idx] = np.arange(idx.size)
+    rev = np.where(rev[idx] >= 0, pos[rev[idx]], -1)
+    res = op(graph.src[idx], graph.dst[idx], idx, rev)
     outs = []
     for r in res if isinstance(res, tuple) else (res,):
         full = np.zeros((graph.n_edges,) + r.shape[1:])
@@ -109,9 +115,9 @@ def edge_logs(graph, f: VertexFunction):
     """
     _check_pair(graph, f)
 
-    def op(src, dst, sel):
+    def op(src, dst, sel, rev):
         try:
-            return f.manifold.log_and_dist(f.values[src], f.values[dst])
+            return f.manifold.edge_log_and_dist(f.values, src, dst, rev)
         except InjectivityError as err:
             _reraise_with_edge(err, src, dst)
     return _on_active_edges(graph, f, op)
@@ -120,13 +126,13 @@ def edge_logs(graph, f: VertexFunction):
 def _edge_dists(graph, f: VertexFunction):
     """Per-edge geodesic distances with zeros on inactive edges."""
     _check_pair(graph, f)
-    return _on_active_edges(graph, f, lambda src, dst, sel: f.manifold.dist(
+    return _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.dist(
         f.values[src], f.values[dst]))
 
 
 def _edge_inners(graph, f: VertexFunction, A, B):
     """Pointwise edge inner products, zero on inactive edges."""
-    return _on_active_edges(graph, f, lambda src, dst, sel: f.manifold.inner(
+    return _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.inner(
         f.values[src], A[sel], B[sel]))
 
 
@@ -205,7 +211,7 @@ def edge_norm_pq(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("edge norm exponents must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    norms = _on_active_edges(graph, f, lambda src, dst, sel: f.manifold.norm(
+    norms = _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.norm(
         f.values[src], H.values[sel]))
     S = _scatter(graph, norms ** q)
     return float(((2.0 / p) * np.sum(S ** (p / q))) ** (1.0 / p))
@@ -248,7 +254,7 @@ def grad_div_identity(graph, f: VertexFunction, H: TangentEdgeFunction):
 
     logs, _ = edge_logs(graph, f)
     ps = f.manifold.point_shape
-    back = _on_active_edges(graph, f, lambda s, d, sel: f.manifold.transport(
+    back = _on_active_edges(graph, f, lambda s, d, sel, _: f.manifold.transport(
         f.values[d], f.values[s], H.values[rev[sel]]))
     T = 0.5 * (_expand(np.sqrt(graph.weight), ps) * H.values
                - _expand(np.sqrt(graph.weight[rev]), ps) * back)

@@ -89,6 +89,16 @@ class Manifold:
         """Return ``(log_x y, dist(x, y))`` sharing intermediate work."""
         raise NotImplementedError
 
+    def edge_log_and_dist(self, points, src, dst, rev):
+        """``log_and_dist(points[src], points[dst])`` over a batch of edges.
+
+        ``rev[i]`` is the batch position of the reverse of edge ``i``, or -1
+        when it is not in the batch.  Geometries that can share work between
+        edges with a common source, or between an edge and its reverse,
+        override this.
+        """
+        return self.log_and_dist(points[src], points[dst])
+
     def transport(self, x, y, v):
         raise NotImplementedError
 
@@ -335,6 +345,13 @@ class Spd(Manifold):
     * transport    = e v e^T with e = x^1/2 Exp(Delta/2) x^-1/2,
       Delta = Log(x^-1/2 y x^-1/2); this is the geodesic transport and an
       exact isometry of the metric.
+    * log_y(x)     = -y x^-1/2 M x^1/2 and dist(y, x) = dist(x, y), with
+      M = Log(x^-1/2 y x^-1/2) (Pennec, Fillard & Ayache 2006, "A
+      Riemannian framework for tensor computing"): from log_x y = x Log(x^-1 y)
+      and Log(y^-1 x) = -Log(x^-1 y).  ``edge_log_and_dist`` fills the
+      reverse of each evaluated edge this way, so an edge pass costs one
+      eigendecomposition per distinct source vertex plus one per undirected
+      edge.
 
     The manifold is a Cartan-Hadamard space, so exp/log are globally
     defined (injectivity radius infinite).
@@ -372,18 +389,18 @@ class Spd(Manifold):
         s = np.sqrt(w)
         return _eigh_recompose(q, s), _eigh_recompose(q, 1.0 / s)
 
-    def _log_mid(self, x, y):
-        """Log(x^-1/2 y x^-1/2) plus the eigenvalue path for distances."""
-        rt, irt = self._roots(x)
+    def _log_mid(self, irt, y):
+        """Log(x^-1/2 y x^-1/2) from irt = x^-1/2, plus its eigenvalue logs."""
         s = _sym(irt @ np.asarray(y, dtype=np.float64) @ irt)
         mu, p = np.linalg.eigh(s)
         lmu = np.log(np.maximum(mu, EIG_CLAMP))
-        return rt, irt, _eigh_recompose(p, lmu), lmu
+        return _eigh_recompose(p, lmu), lmu
 
     # -- kernel operations ---------------------------------------------
 
     def dist(self, x, y):
-        _, _, _, lmu = self._log_mid(x, y)
+        _, irt = self._roots(x)
+        _, lmu = self._log_mid(irt, y)
         return np.sqrt(np.sum(lmu * lmu, axis=-1))
 
     def exp(self, x, v):
@@ -397,14 +414,37 @@ class Spd(Manifold):
     def log_and_dist(self, x, y):
         x = self._check_shape(x)
         y = self._check_shape(y)
-        rt, _, mid, lmu = self._log_mid(x, y)
+        rt, irt = self._roots(x)
+        mid, lmu = self._log_mid(irt, y)
         return _sym(rt @ mid @ rt), np.sqrt(np.sum(lmu * lmu, axis=-1))
+
+    def edge_log_and_dist(self, points, src, dst, rev):
+        """One root eigendecomposition per distinct source vertex and one
+        ``_log_mid`` per undirected pair; the reverse of an evaluated edge
+        comes from the identity in the class docstring."""
+        points = self._check_shape(points)
+        direct = np.flatnonzero((rev < 0) | (np.arange(src.size) < rev))
+        verts, at = np.unique(src[direct], return_inverse=True)
+        rt, irt = self._roots(points[verts])
+        rt, irt = rt[at], irt[at]
+        mid, lmu = self._log_mid(irt, points[dst[direct]])
+        logs = np.empty((src.size,) + self.point_shape)
+        d = np.empty(src.size)
+        logs[direct] = _sym(rt @ mid @ rt)
+        d[direct] = np.sqrt(np.sum(lmu * lmu, axis=-1))
+        pair = np.flatnonzero(rev[direct] >= 0)
+        back = rev[direct[pair]]
+        y = points[dst[direct[pair]]]
+        logs[back] = -_sym(y @ irt[pair] @ mid[pair] @ rt[pair])
+        d[back] = d[direct[pair]]
+        return logs, d
 
     def transport(self, x, y, v):
         x = self._check_shape(x)
         y = self._check_shape(y)
         v = self._check_shape(v, "tangent")
-        rt, irt, mid, _ = self._log_mid(x, y)
+        rt, irt = self._roots(x)
+        mid, _ = self._log_mid(irt, y)
         w, q = np.linalg.eigh(_sym(0.5 * mid))
         e = rt @ _eigh_recompose(q, np.exp(w)) @ irt
         return _sym(e @ v @ np.swapaxes(e, -1, -2))

@@ -22,8 +22,9 @@ while ``R`` is not.  A jacobi run that meets the change test therefore ends
 with ``reason="converged"`` only if ``max ||R|| <=
 JACOBI_RESIDUAL_FACTOR * lam * stop_tol`` at that iterate, and with
 ``reason="stalled"`` otherwise.  The explicit change is ``dt * ||R||`` at a
-fixed dt, so the change test alone bounds its residual.  A sweep whose
-change is not finite, or whose linear algebra fails, raises
+fixed dt, so the change test alone bounds its residual.  A sweep (in
+``solve``, or a direct ``explicit_step``/``jacobi_step``) whose new iterate
+is not finite at an active vertex, or whose linear algebra fails, raises
 ``DivergenceError`` naming the sweep.
 
 One edge pass per iterate: ``edge_logs`` runs once on the start and once
@@ -32,7 +33,8 @@ on each sweep's result, and that pass serves as the admissibility check
 error), the next sweep's ``R``, the energy-trace entry and the final
 residual.  With ``halve_dt_on_injectivity`` a violating (explicit) sweep
 is retried with a halved dt instead.  The halving is per-sweep: the next
-sweep starts again from the configured dt.
+sweep starts again from the configured dt; ``SolveReport.dt_trace``
+records the dt each sweep used.
 """
 
 from __future__ import annotations
@@ -107,11 +109,15 @@ class SolveReport:
     while ``residual_max`` is still above the certificate bound) or
     ``"max_iters"``.  ``residual_max`` is the largest ``||R||`` over active
     vertices at the returned iterate, ``residual(...).max_norm()``.
+    ``dt_trace`` holds the dt each sweep used: ``cfg.dt`` unless
+    ``halve_dt_on_injectivity`` halved it, ``log2(cfg.dt / dt)`` times.
+    (The jacobi scheme takes no dt and reads ``cfg.dt`` throughout.)
     """
 
     iterations: int
     final_change: float
     change_trace: list = field(default_factory=list)
+    dt_trace: list = field(default_factory=list)
     energy_trace: list | None = None
     residual_max: float = 0.0
     reason: str = "max_iters"
@@ -141,6 +147,23 @@ def _advance(graph, f, f0, cfg, edges, scheme):
     return _masked_exp(f, step)
 
 
+def _guarded(label, sweep, *args):
+    """``sweep(*args)``, which returns the new iterate or a tuple led by it.
+
+    A failing eigensolver, or a non-finite value at an active vertex of
+    the new iterate, raises DivergenceError naming ``label``.
+    """
+    try:
+        out = sweep(*args)
+    except np.linalg.LinAlgError as err:
+        raise DivergenceError(f"{label} diverged: {err}") from err
+    new = out[0] if isinstance(out, tuple) else out
+    vals = new.values if new.mask is None else new.values[new.mask]
+    if not np.isfinite(vals).all():
+        raise DivergenceError(f"{label} diverged: its iterate is not finite")
+    return out
+
+
 def _step(graph, f, f0, cfg, scheme):
     """One public sweep; only manifolds with a finite injectivity radius
     can leave the admissible set, so only those are checked."""
@@ -157,7 +180,7 @@ def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
     Raises an injectivity error when the update leaves the admissible set.
     (Not validated against the config: ``dt = 0`` is the exact identity.)
     """
-    return _step(graph, f, f0, cfg, "explicit")
+    return _guarded("explicit step", _step, graph, f, f0, cfg, "explicit")
 
 
 def jacobi_step(graph, f: VertexFunction, f0: VertexFunction,
@@ -168,11 +191,13 @@ def jacobi_step(graph, f: VertexFunction, f0: VertexFunction,
     """
     if cfg.lam <= 0:
         raise ConfigError("jacobi_step requires lam > 0")
-    return _step(graph, f, f0, cfg, "jacobi")
+    return _guarded("jacobi step", _step, graph, f, f0, cfg, "jacobi")
 
 
 def _sweep(graph, f, f0, cfg, edges):
-    """One sweep of the configured scheme: the new iterate and its edge pass.
+    """One sweep of the configured scheme from ``f``: the new iterate, its
+    edge pass, the dt the sweep used and the geodesic distance each active
+    vertex moved.
 
     That pass raises an injectivity error when the new iterate leaves the
     admissible set; with ``halve_dt_on_injectivity`` an explicit sweep is
@@ -183,7 +208,7 @@ def _sweep(graph, f, f0, cfg, edges):
         try:
             new = _advance(graph, f, f0, replace(cfg, dt=dt), edges,
                            cfg.scheme)
-            return new, edge_logs(graph, new)
+            return new, edge_logs(graph, new), dt, f.dists_to(new)
         except InjectivityError:
             if cfg.scheme == "jacobi" or not cfg.halve_dt_on_injectivity:
                 raise
@@ -217,19 +242,14 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
         etrace = [_energy(graph, f, f0, cfg.lam, cfg.p, cfg.model, edges[1])]
 
     changes = []
+    dts = []
     reason = "max_iters"
     for k in range(1, cfg.max_iters + 1):
-        try:
-            f_new, edges = _sweep(graph, f, f0, cfg, edges)
-            d = f.dists_to(f_new)
-        except np.linalg.LinAlgError as err:
-            raise DivergenceError(f"sweep {k} diverged: {err}") from err
+        f, edges, dt, d = _guarded(f"sweep {k}", _sweep, graph, f, f0, cfg,
+                                   edges)
         change = float(np.mean(d)) if d.size else 0.0
-        if not np.isfinite(change):
-            raise DivergenceError(f"sweep {k} diverged: its mean change is "
-                                  f"{change}")
-        f = f_new
         changes.append(change)
+        dts.append(dt)
         if etrace is not None:
             etrace.append(_energy(graph, f, f0, cfg.lam, cfg.p, cfg.model,
                                   edges[1]))
@@ -246,6 +266,7 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
     report = SolveReport(iterations=len(changes),
                          final_change=changes[-1] if changes else 0.0,
                          change_trace=changes,
+                         dt_trace=dts,
                          energy_trace=etrace,
                          residual_max=rmax,
                          reason=reason)

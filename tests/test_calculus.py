@@ -5,7 +5,9 @@ identities and on values worked out by hand."""
 import numpy as np
 import pytest
 
-from conftest import clustered_vertex_function, random_symmetric_graph
+from conftest import (clustered_vertex_function, random_point,
+                      random_symmetric_graph)
+import mvgraph.manifolds
 from mvgraph.calculus import (aniso_p_laplacian, directional_derivative,
                               divergence, edge_inner, edge_logs, edge_norm_pq,
                               energy_aniso, energy_gradient, energy_iso,
@@ -594,3 +596,80 @@ def test_edge_logs_distances_match_dist(rng):
     np.testing.assert_allclose(
         d, s.dist(f.values[g.src], f.values[g.dst]), atol=1e-13)
     np.testing.assert_allclose(np.linalg.norm(logs, axis=1), d, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the edge-log kernel against the per-edge expression
+# ---------------------------------------------------------------------------
+
+def _edge_pass_case(case, manifold, rng, n=14):
+    """A graph and a function: symmetric, with one-way edges, or masked
+    with NaN placeholders (an eigensolver fails on them)."""
+    g = random_symmetric_graph(rng, n)
+    if case == "one-way":
+        keep = rng.random(g.n_edges) < 0.7
+        g = WeightedGraph(n, g.src[keep], g.dst[keep], g.weight[keep])
+        assert np.any(g.reverse_edge_index < 0)
+    mask = np.arange(n) % 4 != 1 if case == "masked" else None
+    f = clustered_vertex_function(manifold, rng, n, spread=0.8, mask=mask)
+    if mask is not None:
+        f.values[~mask] = np.nan
+    return g, f
+
+
+def _per_edge(graph, f):
+    """The per-edge expression, zero on edges with an inactive endpoint."""
+    act = f.active[graph.src] & f.active[graph.dst]
+    logs = np.zeros(f.values[graph.src].shape)
+    d = np.zeros(graph.n_edges)
+    logs[act], d[act] = f.manifold.log_and_dist(
+        f.values[graph.src[act]], f.values[graph.dst[act]])
+    return logs, d, act
+
+
+@pytest.mark.parametrize("case", ["symmetric", "one-way", "masked"])
+@pytest.mark.parametrize("manifold", [Spd(2), Spd(3)], ids=lambda m: f"spd{m.n}")
+def test_spd_edge_logs_match_per_edge_expression(manifold, case, rng):
+    g, f = _edge_pass_case(case, manifold, rng)
+    logs, d = edge_logs(g, f)
+    ref_logs, ref_d, act = _per_edge(g, f)
+    rev = g.reverse_edge_index
+    # the kernel evaluates each one-way edge and the first edge of each
+    # reverse pair; the second comes from the reverse-edge identity
+    direct = (rev < 0) | (np.arange(g.n_edges) < rev)
+    assert np.any(act & ~direct)
+    assert np.array_equal(logs[direct], ref_logs[direct])
+    assert np.array_equal(d[direct], ref_d[direct])
+    assert np.all(logs[~act] == 0.0) and np.all(d[~act] == 0.0)
+    filled = act & ~direct
+    err = np.linalg.norm(logs[filled] - ref_logs[filled], axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref_logs[filled], axis=(1, 2)))
+    assert np.all(np.abs(d[filled] - ref_d[filled]) <= 1e-12 * ref_d[filled])
+
+
+@pytest.mark.parametrize("case", ["symmetric", "one-way", "masked"])
+@pytest.mark.parametrize("manifold", [Sphere2(), Circle(), Euclidean(3)],
+                         ids=lambda m: m.kind)
+def test_edge_logs_is_the_per_edge_expression(manifold, case, rng):
+    g, f = _edge_pass_case(case, manifold, rng)
+    logs, d = edge_logs(g, f)
+    ref_logs, ref_d, _ = _per_edge(g, f)
+    assert np.array_equal(logs, ref_logs) and np.array_equal(d, ref_d)
+
+
+def test_spd_edge_pass_decomposes_once_per_vertex_and_pair(rng, monkeypatch):
+    matrices = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kw):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(mvgraph.manifolds.np.linalg, "eigh", counting)
+    g = random_symmetric_graph(rng, 40)
+    f = VertexFunction(Spd(3), random_point(Spd(3), rng, 40))
+    matrices.clear()
+    edge_logs(g, f)
+    n, m = g.n_vertices, g.n_edges
+    # two per directed edge before: x^{+-1/2} and Log of the mid matrix
+    assert sum(matrices) <= n + m // 2

@@ -488,3 +488,38 @@ def test_diverging_run_raises_divergence_error(manifold, dt):
     with np.errstate(all="ignore"), pytest.raises(DivergenceError,
                                                   match="sweep"):
         solve(g, f0, cfg(lam=0.0, dt=dt, max_iters=1000))
+
+
+def test_direct_steps_raise_divergence_error():
+    # the instance above, stepped without solve: the second explicit step
+    # leaves the finite matrices
+    g = grid_graph(8, 8)
+    m = Spd(3)
+    f0 = VertexFunction(m, random_point(m, np.random.default_rng(0), 64))
+    with np.errstate(all="ignore"):
+        f1 = explicit_step(g, f0, f0, cfg(lam=0.0, dt=50.0))
+        with pytest.raises(DivergenceError, match="not finite"):
+            explicit_step(g, f1, f0, cfg(lam=0.0, dt=50.0))
+        # a failing eigensolver is re-raised as a divergence too
+        bad = VertexFunction(m, np.full((64, 3, 3), np.nan), validate=False)
+        for step in (explicit_step, jacobi_step):
+            with pytest.raises(DivergenceError, match="step") as info:
+                step(g, bad, f0, cfg(lam=1.0, dt=1e-3))
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+# ---------------------------------------------------------------------------
+# dt per sweep
+# ---------------------------------------------------------------------------
+
+def test_dt_trace_records_the_dt_of_each_sweep():
+    c = Circle()
+    g = path_graph([1.0])
+    f0 = VertexFunction(c, np.array([[0.0], [2.0]]))
+    bad_dt = (2.0 + np.pi) / 4.0
+    _, rep = solve(g, f0, cfg(lam=0.0, dt=bad_dt, max_iters=3, stop_tol=0.0,
+                              halve_dt_on_injectivity=True))
+    # the first sweep is retried once at dt/2; later sweeps keep bad_dt
+    assert rep.dt_trace == [bad_dt / 2, bad_dt, bad_dt]
+    _, rep = solve(g, f0, cfg(lam=0.0, dt=0.1, max_iters=4, stop_tol=0.0))
+    assert rep.dt_trace == [0.1] * 4
