@@ -31,11 +31,8 @@ import numpy as np
 from .errors import DomainError, InjectivityError
 from .fields import (TangentEdgeFunction, TangentVertexField, VertexFunction,
                      active_edge_mask)
-from .manifolds import ManifoldPoint, TangentVector
 
 EPS_SMOOTH_DEFAULT = 1e-7
-
-_TINY = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +144,9 @@ def directional_derivative(graph, f: VertexFunction, u: int, v: int):
     is inactive.  Returns a bare tangent coordinate array at ``f(u)``.
     """
     _check_pair(graph, f)
-    zero = np.zeros(f.manifold.point_shape)
-    if u == v:
-        return zero
     e = graph.edge_index(u, v)
     if e < 0 or not (f.active[u] and f.active[v]):
-        return zero
+        return np.zeros(f.manifold.point_shape)
     lg = f.manifold.log(f.values[u], f.values[v])
     return np.sqrt(graph.weight[e]) * lg
 
@@ -224,10 +218,8 @@ def local_variation(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("variation exponent must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    lo, hi = graph.indptr[u], graph.indptr[u + 1]
-    if lo == hi:
-        return 0.0
-    sl = np.arange(lo, hi)
+    out = graph.out_edges(u)
+    sl = np.arange(out.start, out.stop)
     ae = active_edge_mask(graph, f)
     if ae is not None:
         sl = sl[ae[sl]]
@@ -510,23 +502,3 @@ def energy_gradient(graph, f: VertexFunction, f0: VertexFunction, lam: float,
                           "with symmetric weights")
     half = residual(graph, f, f0, lam / 2.0, p, model, eps_smooth)
     return TangentVertexField(f, 2.0 * half.values)
-
-
-def grad_dist_pow(x: ManifoldPoint, y: ManifoldPoint, p: float
-                  ) -> TangentVector:
-    """Gradient in x of d(x, y)^p, as a tangent vector at x.
-
-    Equals ``-p d^{p-2} log_x y``; at ``x == y`` the gradient is zero for
-    p > 1 and is taken to be zero (a subgradient choice) at p = 1.
-    Exponents below 1 are rejected: d^p is then not locally Lipschitz.
-    """
-    if p < 1:
-        raise DomainError("grad_dist_pow requires p >= 1")
-    if x.manifold != y.manifold:
-        raise DomainError("points live on different manifolds")
-    m = x.manifold
-    d = float(m.dist(x.coords, y.coords))
-    if d < _TINY:
-        return TangentVector(x, np.zeros(m.point_shape))
-    lg = m.log(x.coords, y.coords)
-    return TangentVector(x, -p * d ** (p - 2.0) * lg)

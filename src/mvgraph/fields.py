@@ -60,10 +60,6 @@ class VertexFunction:
             return np.ones(self.n_vertices, dtype=bool)
         return self.mask
 
-    @property
-    def n_active(self) -> int:
-        return self.n_vertices if self.mask is None else int(self.mask.sum())
-
     def dists_to(self, other: "VertexFunction") -> np.ndarray:
         """Geodesic distances to ``other`` on the jointly active vertices.
 
@@ -117,10 +113,6 @@ class TangentVertexField:
     def manifold(self) -> Manifold:
         return self.base.manifold
 
-    def norms(self) -> np.ndarray:
-        """Riemannian norm of the tangent at each vertex."""
-        return self.manifold.norm(self.base.values, self.values)
-
     def max_norm(self) -> float:
         """Largest norm over the active vertices (0 when none is active)."""
         act = self.base.active
@@ -149,10 +141,6 @@ class TangentEdgeFunction:
     @property
     def manifold(self) -> Manifold:
         return self.base.manifold
-
-    def norms(self) -> np.ndarray:
-        """Riemannian norm at f(u) of the tangent on each edge."""
-        return self.manifold.norm(self.base.values[self.graph.src], self.values)
 
 
 def active_edge_mask(graph, f: VertexFunction):

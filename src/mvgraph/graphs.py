@@ -27,8 +27,10 @@ class WeightedGraph:
         n = int(n_vertices)
         if n < 1:
             raise DomainError("graph needs at least one vertex")
-        src = np.asarray(src, dtype=np.int64).ravel()
-        dst = np.asarray(dst, dtype=np.int64).ravel()
+        src, dst = np.asarray(src).ravel(), np.asarray(dst).ravel()
+        if np.any(src != np.trunc(src)) or np.any(dst != np.trunc(dst)):
+            raise DomainError("edge endpoints must be whole numbers")
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
         weight = np.asarray(weight, dtype=np.float64).ravel()
         if not (src.shape == dst.shape == weight.shape):
             raise DomainError("src, dst and weight must have equal length")
@@ -68,8 +70,8 @@ class WeightedGraph:
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise DomainError("edges must be (u, v, w) triples")
-        return cls(n_vertices, arr[:, 0].astype(np.int64),
-                   arr[:, 1].astype(np.int64), arr[:, 2], symmetric=symmetric)
+        return cls(n_vertices, arr[:, 0], arr[:, 1], arr[:, 2],
+                   symmetric=symmetric)
 
     # -- queries ---------------------------------------------------------
 
@@ -81,13 +83,25 @@ class WeightedGraph:
     def out_degree(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def _check_vertex(self, u):
+        if not (isinstance(u, (int, np.integer)) and 0 <= u < self.n_vertices):
+            raise DomainError(
+                f"{u} is not a vertex index in [0, {self.n_vertices})")
+
+    def out_edges(self, u) -> slice:
+        """Positions of the out-edges of u in the edge arrays."""
+        self._check_vertex(u)
+        return slice(self.indptr[u], self.indptr[u + 1])
+
     def neighbors(self, u):
         """(neighbor indices, weights) of the out-edges of u."""
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        return self.dst[lo:hi], self.weight[lo:hi]
+        out = self.out_edges(u)
+        return self.dst[out], self.weight[out]
 
     def edge_index(self, u, v) -> int:
         """Position of edge (u, v) in the edge arrays, or -1 if absent."""
+        self._check_vertex(u)
+        self._check_vertex(v)
         key = int(u) * self.n_vertices + int(v)
         k = np.searchsorted(self._keys, key)
         if k < self._keys.size and self._keys[k] == key:
@@ -215,29 +229,6 @@ def _box_sum(a, s):
     for dl in range(-s, s + 1):
         out2 += np.roll(out, -dl, axis=-1)
     return out2
-
-
-def patch_distance(f, shape, i, j, s) -> float:
-    """Patch similarity between pixels i and j: the root of the summed
-    squared geodesic distances over aligned (2s+1)^2 patches, periodic at
-    the image border.  Terms involving an inactive pixel are skipped."""
-    h, w = _grid_shape(f, shape)
-    if s < 0:
-        raise DomainError("patch radius must be >= 0")
-    i, j = int(i), int(j)
-    offs = np.arange(-s, s + 1)
-    dk, dl = np.meshgrid(offs, offs, indexing="ij")
-    dk, dl = dk.ravel(), dl.ravel()
-    ri, ci = divmod(i, w)
-    rj, cj = divmod(j, w)
-    pi = ((ri + dk) % h) * w + (ci + dl) % w
-    pj = ((rj + dk) % h) * w + (cj + dl) % w
-    active = f.active
-    keep = active[pi] & active[pj]
-    if not keep.any():
-        return 0.0
-    d = f.manifold.dist(f.values[pi[keep]], f.values[pj[keep]])
-    return float(np.sqrt(np.sum(d * d)))
 
 
 def _patch_psm_candidates(f, shape, s, window=None, block=64):

@@ -11,9 +11,8 @@ Four geometries are supported as value spaces for vertex data:
 Every kernel operation (``dist``, ``exp``, ``log``, ``transport``,
 ``inner``, ``norm``, ``random_tangent``) is vectorised: points and tangent
 vectors are numpy arrays whose trailing axes carry ``point_shape`` and whose
-leading axes are arbitrary batch axes.  ``ManifoldPoint``/``TangentVector``
-wrap single points for call sites where per-value validation matters; the
-array interface is what the graph operators and solvers run on.
+leading axes are arbitrary batch axes.  A single point is a batch with no
+leading axes.
 
 Conventions:
 
@@ -118,10 +117,6 @@ class Manifold:
         """Raise DomainError unless every entry of ``x`` is a valid point."""
         raise NotImplementedError
 
-    def check_tangent(self, x, v):
-        """Raise DomainError unless ``v`` is a valid tangent at ``x``."""
-        raise NotImplementedError
-
     def _check_shape(self, arr, what="point"):
         arr = np.asarray(arr, dtype=np.float64)
         k = len(self.point_shape)
@@ -184,9 +179,6 @@ class Euclidean(Manifold):
         if not np.all(np.isfinite(x)):
             raise DomainError("euclidean: non-finite coordinates")
 
-    def check_tangent(self, x, v):
-        self.check_point(v)
-
 
 @dataclass(frozen=True)
 class Circle(Manifold):
@@ -235,11 +227,6 @@ class Circle(Manifold):
             raise DomainError("circle: non-finite angle")
         if np.any(th <= -np.pi) or np.any(th > np.pi):
             raise DomainError("circle: angle outside (-pi, pi]")
-
-    def check_tangent(self, x, v):
-        v = self._check_shape(v, "tangent")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("circle: non-finite tangent")
 
 
 @dataclass(frozen=True)
@@ -324,12 +311,6 @@ class Sphere2(Manifold):
             raise DomainError("sphere2: non-finite coordinates")
         if np.any(np.abs(n - 1.0) > self.UNIT_TOL):
             raise DomainError("sphere2: point not on the unit sphere")
-
-    def check_tangent(self, x, v):
-        x = self._check_shape(x)
-        v = self._check_shape(v, "tangent")
-        if np.any(np.abs(np.sum(x * v, axis=-1)) > 1e-9):
-            raise DomainError("sphere2: tangent not orthogonal to base point")
 
 
 @dataclass(frozen=True)
@@ -476,13 +457,6 @@ class Spd(Manifold):
         if np.any(w <= 0.0):
             raise DomainError("spd: matrix not positive definite")
 
-    def check_tangent(self, x, v):
-        v = self._check_shape(v, "tangent")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("spd: non-finite tangent entries")
-        if np.max(np.abs(v - np.swapaxes(v, -1, -2))) > self.SYM_TOL:
-            raise DomainError("spd: tangent not symmetric")
-
 
 def from_kind(kind: str, params: dict | None = None) -> Manifold:
     """Instantiate a manifold from its ``kind`` tag and parameter dict."""
@@ -496,109 +470,3 @@ def from_kind(kind: str, params: dict | None = None) -> Manifold:
     if kind == "spd":
         return Spd(int(params["n"]))
     raise DomainError(f"unknown manifold kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# single-point wrappers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ManifoldPoint:
-    """A validated single point; ``coords`` has the manifold's point shape."""
-
-    manifold: Manifold
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=np.float64, copy=True)
-        if coords.shape != self.manifold.point_shape:
-            raise DomainError(
-                f"point shape {coords.shape} does not match "
-                f"{self.manifold.kind} point shape {self.manifold.point_shape}")
-        self.manifold.check_point(coords)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    def __repr__(self):
-        return f"ManifoldPoint({self.manifold.kind}, {self.coords.tolist()})"
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A validated tangent vector anchored at ``base``."""
-
-    base: ManifoldPoint
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=np.float64, copy=True)
-        m = self.base.manifold
-        if coords.shape != m.point_shape:
-            raise DomainError(
-                f"tangent shape {coords.shape} does not match "
-                f"{m.kind} point shape {m.point_shape}")
-        m.check_tangent(self.base.coords, coords)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    def __repr__(self):
-        return f"TangentVector({self.base.manifold.kind}, {self.coords.tolist()})"
-
-
-def _require_same_manifold(x: ManifoldPoint, y: ManifoldPoint):
-    if x.manifold != y.manifold:
-        raise DomainError(
-            f"points live on different manifolds: {x.manifold} vs {y.manifold}")
-
-
-def dist(x: ManifoldPoint, y: ManifoldPoint) -> float:
-    """Geodesic distance between two points of the same manifold."""
-    _require_same_manifold(x, y)
-    return float(x.manifold.dist(x.coords, y.coords))
-
-
-def exp(x: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
-    """Exponential map; ``xi`` must be anchored at ``x``."""
-    _require_base(x, xi)
-    return ManifoldPoint(x.manifold, x.manifold.exp(x.coords, xi.coords))
-
-
-def log(x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
-    """Inverse exponential; raises InjectivityError near the cut locus."""
-    _require_same_manifold(x, y)
-    return TangentVector(x, x.manifold.log(x.coords, y.coords))
-
-
-def parallel_transport(x: ManifoldPoint, y: ManifoldPoint,
-                       nu: TangentVector) -> TangentVector:
-    """Transport ``nu`` from T_x to T_y along the connecting geodesic."""
-    _require_same_manifold(x, y)
-    _require_base(x, nu)
-    out = x.manifold.transport(x.coords, y.coords, nu.coords)
-    return TangentVector(y, out)
-
-
-def inner(u: TangentVector, v: TangentVector) -> float:
-    """Riemannian inner product of two tangents with a common base point."""
-    if u.base.manifold != v.base.manifold or \
-            not np.array_equal(u.base.coords, v.base.coords):
-        raise DomainError("tangent vectors have different base points")
-    return float(u.base.manifold.inner(u.base.coords, u.coords, v.coords))
-
-
-def tnorm(u: TangentVector) -> float:
-    """Riemannian norm of a tangent vector."""
-    return float(u.base.manifold.norm(u.base.coords, u.coords))
-
-
-def random_tangent(x: ManifoldPoint, sigma: float, rng) -> TangentVector:
-    """Isotropic Gaussian tangent at ``x``: E ||v||^2 = sigma^2 * intrinsic_dim."""
-    if sigma < 0:
-        raise DomainError("sigma must be non-negative")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return TangentVector(x, x.manifold.random_tangent(x.coords, float(sigma), rng))
-
-
-def _require_base(x: ManifoldPoint, v: TangentVector):
-    if v.base.manifold != x.manifold or not np.array_equal(v.base.coords, x.coords):
-        raise DomainError("tangent vector is not anchored at the given point")

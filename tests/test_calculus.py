@@ -11,14 +11,13 @@ import mvgraph.manifolds
 from mvgraph.calculus import (aniso_p_laplacian, directional_derivative,
                               divergence, edge_inner, edge_logs, edge_norm_pq,
                               energy_aniso, energy_gradient, energy_iso,
-                              grad_dist_pow, grad_div_identity, gradient,
-                              iso_p_laplacian, local_variation, residual,
-                              symmetric_map, vertex_distance, vertex_norm_p)
+                              grad_div_identity, gradient, iso_p_laplacian,
+                              local_variation, residual, symmetric_map,
+                              vertex_distance, vertex_norm_p)
 from mvgraph.errors import DomainError
 from mvgraph.fields import TangentEdgeFunction, VertexFunction, check_admissible
 from mvgraph.graphs import WeightedGraph, grid_graph
-from mvgraph.manifolds import (Circle, Euclidean, ManifoldPoint, Spd, Sphere2,
-                               TangentVector)
+from mvgraph.manifolds import Circle, Euclidean, Spd, Sphere2
 
 
 def path_graph(weights):
@@ -185,6 +184,23 @@ def test_local_variation(rng):
     assert local_variation(g, f, H, u, 1) == pytest.approx(np.sum(norms))
     zero = TangentEdgeFunction(g, f, np.zeros_like(H.values))
     assert local_variation(g, f, zero, u, 2) == 0.0
+
+
+def test_vertex_queries_reject_out_of_range_vertices(rng):
+    # unchecked, (0, 6) and vertex 9 ended in a raw IndexError and vertex -1
+    # gave a variation of 0.0
+    e1 = Euclidean(1)
+    g = WeightedGraph.from_edges(
+        4, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+    f = VertexFunction(e1, np.arange(4.0)[:, None])
+    H = edge_fn(g, f, rng)
+    for u, v in [(0, 6), (6, 0), (-1, 0), (6, 6)]:
+        with pytest.raises(DomainError):
+            directional_derivative(g, f, u, v)
+    for u in (9, 4, -1):
+        with pytest.raises(DomainError):
+            local_variation(g, f, H, u)
+    assert local_variation(g, f, H, 3) == 0.0
 
 
 @pytest.mark.parametrize("manifold", [Euclidean(3), Sphere2(), Spd(2)],
@@ -539,24 +555,6 @@ def test_energy_gradient_rejects_unequal_reverse_weights(model):
     f = VertexFunction(c, np.array([[0.0], [1.0]]))
     with pytest.raises(DomainError):
         energy_gradient(g, f, f, lam=1.0, p=1.0, model=model)
-
-
-def test_grad_dist_pow():
-    e2 = Euclidean(2)
-    x = ManifoldPoint(e2, [1.0, 1.0])
-    y = ManifoldPoint(e2, [4.0, 5.0])
-    np.testing.assert_allclose(grad_dist_pow(x, y, 2).coords, [-6.0, -8.0])
-    assert np.all(grad_dist_pow(x, x, 2).coords == 0.0)
-    assert np.all(grad_dist_pow(x, x, 1).coords == 0.0)
-    assert np.all(grad_dist_pow(x, x, 1.5).coords == 0.0)
-
-    c = Circle()
-    x0 = ManifoldPoint(c, [0.0])
-    y0 = ManifoldPoint(c, [np.pi / 2])
-    np.testing.assert_allclose(grad_dist_pow(x0, y0, 1).coords, [-1.0])
-
-    with pytest.raises(DomainError):
-        grad_dist_pow(x, y, 0.5)
 
 
 # ---------------------------------------------------------------------------

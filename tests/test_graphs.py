@@ -7,9 +7,10 @@ import pytest
 from conftest import clustered_vertex_function, random_symmetric_graph
 from mvgraph.errors import DomainError, FormatError
 from mvgraph.fields import VertexFunction
-from mvgraph.graphs import (KNN_WEIGHT_FLOOR, WeightedGraph, epsilon_ball_graph,
+from mvgraph.graphs import (KNN_WEIGHT_FLOOR, WeightedGraph,
+                            _patch_psm_candidates, epsilon_ball_graph,
                             grid_graph, knn_patch_graph, load_edges_tsv,
-                            patch_distance, save_edges_tsv)
+                            save_edges_tsv)
 from mvgraph.manifolds import Circle, Euclidean, wrap_angle
 
 
@@ -32,6 +33,17 @@ def test_graph_validation():
         WeightedGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 2.0)], symmetric=True)
 
 
+def test_from_edges_rejects_fractional_endpoints():
+    with pytest.raises(DomainError):
+        WeightedGraph.from_edges(3, [(0.5, 1.9, 1.0)])
+    with pytest.raises(DomainError):
+        WeightedGraph.from_edges(3, np.array([[0.0, 1.0, 1.0], [1.0, np.nan, 1.0]]))
+    with pytest.raises(DomainError):
+        WeightedGraph(3, [0.5], [1.9], [1.0])
+    g = WeightedGraph.from_edges(3, np.array([[0.0, 2.0, 0.5]]))
+    assert g.edge_index(0, 2) == 0
+
+
 def test_reverse_edge_index(rng):
     g = random_symmetric_graph(rng, 17)
     rev = g.reverse_edge_index
@@ -49,6 +61,20 @@ def test_neighbors_and_edge_index():
     assert g.edge_index(2, 3) >= 0
     assert g.edge_index(3, 2) == -1
     np.testing.assert_array_equal(g.isolated_vertices(), [1])
+
+
+def test_vertex_queries_reject_out_of_range_vertices():
+    # with the key u*n + v unchecked, edge_index(0, 6) found edge (1, 2)
+    g = WeightedGraph.from_edges(
+        4, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+    for u, v in [(0, 6), (6, 0), (-1, 1), (1, -1), (4, 4), (0.5, 1.9)]:
+        with pytest.raises(DomainError):
+            g.edge_index(u, v)
+    for u in (-1, 4, 9, 1.5):
+        with pytest.raises(DomainError):
+            g.neighbors(u)
+    np.testing.assert_array_equal(g.neighbors(3)[0], [])
+    assert g.edge_index(3, 3) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +158,30 @@ def _brute_patch_distance(f, shape, i, j, s):
     return np.sqrt(total)
 
 
+def _assert_psm_matches_brute(f, shape, s, window=None):
+    psm2, cand = _patch_psm_candidates(f, shape, s, window=window)
+    for i in range(f.n_vertices):
+        for c in range(cand.shape[1]):
+            brute = _brute_patch_distance(f, shape, i, int(cand[i, c]), s)
+            assert abs(psm2[i, c] - brute ** 2) <= 1e-12
+    return psm2, cand
+
+
 def test_patch_distance_trivia():
     c = Circle()
     f = VertexFunction(c, np.zeros((12, 1)))
-    assert patch_distance(f, (3, 4), 5, 5, 1) == 0.0
-    assert patch_distance(f, (3, 4), 0, 7, 2) == 0.0   # constant image
+    for s in (1, 2):
+        psm2, cand = _assert_psm_matches_brute(f, (3, 4), s)
+        assert np.all(psm2 == 0.0)   # constant image
+        assert not np.any(cand == np.arange(12)[:, None])
 
 
 def test_patch_distance_single_term():
     c = Circle()
     f = VertexFunction(c, np.array([[0.0], [np.pi / 2]]))
-    assert patch_distance(f, (1, 2), 0, 1, 0) == pytest.approx(np.pi / 2)
+    psm2, cand = _assert_psm_matches_brute(f, (1, 2), 0)
+    np.testing.assert_array_equal(cand, [[1], [0]])
+    np.testing.assert_allclose(np.sqrt(psm2), np.pi / 2, rtol=1e-12)
 
 
 def test_patch_distance_matches_brute_force(rng):
@@ -150,11 +189,10 @@ def test_patch_distance_matches_brute_force(rng):
     h, w = 5, 6
     mask = rng.random(h * w) > 0.15
     f = clustered_vertex_function(c, rng, h * w, spread=0.8, mask=mask)
-    for s in (0, 1, 2):
-        for _ in range(10):
-            i, j = rng.integers(0, h * w, size=2)
-            assert patch_distance(f, (h, w), i, j, s) == pytest.approx(
-                _brute_patch_distance(f, (h, w), int(i), int(j), s), abs=1e-12)
+    assert not mask.all()
+    for window in (None, 1, 2):
+        for s in (0, 1, 2):
+            _assert_psm_matches_brute(f, (h, w), s, window=window)
 
 
 # ---------------------------------------------------------------------------
