@@ -107,8 +107,8 @@ def edge_logs(graph, f: VertexFunction):
     Entries for edges with an inactive endpoint are zero.  Returns the pair
     ``(logs, dists)`` with shapes ``(m,) + point_shape`` and ``(m,)``.
     Raises InjectivityError naming the edge when an active edge joins
-    values beyond the injectivity bound (the bound ``check_admissible``
-    uses).
+    values beyond the injectivity bound; this pass is the admissibility
+    check of every iterate.
     """
     _check_pair(graph, f)
 
@@ -158,31 +158,30 @@ def gradient(graph, f: VertexFunction) -> TangentEdgeFunction:
     return TangentEdgeFunction(graph, f, vals)
 
 
+def _div_terms(graph, f: VertexFunction, H: TangentEdgeFunction):
+    """Per-edge summands of ``divergence``, zero on inactive edges:
+    ``1/2 (sqrt(w(v,u)) PT_{f(v)->f(u)} H(v,u) - sqrt(w(u,v)) H(u,v))``,
+    the transported reverse term only where the reverse edge exists."""
+    ps = f.manifold.point_shape
+
+    def op(src, dst, sel, rev):
+        h = H.values[sel]
+        sw = _expand(np.sqrt(graph.weight[sel]), ps)
+        t = -sw * h
+        j = np.flatnonzero(rev >= 0)
+        r = rev[j]
+        t[j] += sw[r] * f.manifold.transport(f.values[dst[j]],
+                                             f.values[src[j]], h[r])
+        return 0.5 * t
+    return _on_active_edges(graph, f, op)
+
+
 def divergence(graph, f: VertexFunction, H: TangentEdgeFunction
                ) -> TangentVertexField:
     """Adjoint-style divergence of an edge function (see module docstring)."""
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    ps = f.manifold.point_shape
-    ae = active_edge_mask(graph, f)
-
-    terms = -_expand(np.sqrt(graph.weight), ps) * H.values
-    if ae is not None:
-        terms = terms * _expand(ae, ps)
-
-    rev = graph.reverse_edge_index
-    idx = np.flatnonzero(rev >= 0)
-    if ae is not None:
-        idx = idx[ae[idx]]
-    if idx.size:
-        r = rev[idx]
-        back = f.manifold.transport(f.values[graph.dst[idx]],
-                                    f.values[graph.src[idx]],
-                                    H.values[r])
-        terms[idx] += _expand(np.sqrt(graph.weight[r]), ps) * back
-
-    vals = 0.5 * _scatter(graph, terms)
-    return TangentVertexField(f, vals)
+    return TangentVertexField(f, _scatter(graph, _div_terms(graph, f, H)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +232,19 @@ def grad_div_identity(graph, f: VertexFunction, H: TangentEdgeFunction):
     """Both sides of the summation-by-parts identity, for verification.
 
     Returns ``(lhs, rhs)`` where ``lhs = <grad f, H>`` over directed edges
-    and ``rhs`` re-aggregates the same pairing through transported reverse
-    edges.  Requires a symmetric edge set.
+    and ``rhs = -sum over edges <log_{f(u)} f(v), div term(u, v)>``
+    re-aggregates the same pairing through the transported reverse edges
+    of ``divergence``.  Requires a symmetric edge set.
     """
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    rev = graph.reverse_edge_index
-    if np.any(rev < 0):
+    if np.any(graph.reverse_edge_index < 0):
         raise DomainError("the identity requires a symmetric edge set")
-
-    lhs = edge_inner(graph, f, gradient(graph, f), H)
-
     logs, _ = edge_logs(graph, f)
-    ps = f.manifold.point_shape
-    back = _on_active_edges(graph, f, lambda s, d, sel, _: f.manifold.transport(
-        f.values[d], f.values[s], H.values[rev[sel]]))
-    T = 0.5 * (_expand(np.sqrt(graph.weight), ps) * H.values
-               - _expand(np.sqrt(graph.weight[rev]), ps) * back)
-    rhs = float(np.sum(_edge_inners(graph, f, logs, T)))
+    grad = _expand(np.sqrt(graph.weight), f.manifold.point_shape) * logs
+    lhs = float(np.sum(_edge_inners(graph, f, grad, H.values)))
+    rhs = -float(np.sum(_edge_inners(graph, f, logs,
+                                     _div_terms(graph, f, H))))
     return lhs, rhs
 
 
@@ -298,28 +292,18 @@ def vertex_distance(f: VertexFunction, g: VertexFunction) -> float:
 # p-Laplacians
 # ---------------------------------------------------------------------------
 
-def _singular_power(base, expo):
-    """base**expo with 0**negative evaluated as 0 (dropped summand)."""
-    out = np.zeros_like(base)
-    pos = base > 0
-    out[pos] = base[pos] ** expo
-    return out
-
-
-def _aniso_coeff(d, p, eps_smooth):
+def _smoothed_power(d, p, eps_smooth):
+    """``d**(p-2)``, read as ``(d + eps_smooth)**(p-2)`` for p < 2 with
+    ``0**negative`` evaluated as 0 (a dropped summand)."""
     if p == 2:
         return np.ones_like(d)
-    if p < 2:
-        return _singular_power(d + eps_smooth, p - 2.0)
-    return d ** (p - 2.0)
-
-
-def _iso_alpha(S, p, eps_smooth):
-    if p == 2:
-        return np.ones_like(S)
-    if p < 2:
-        return _singular_power(np.sqrt(S) + eps_smooth, p - 2.0)
-    return S ** ((p - 2.0) / 2.0)
+    if p > 2:
+        return d ** (p - 2.0)
+    base = d + eps_smooth
+    out = np.zeros_like(base)
+    pos = base > 0
+    out[pos] = base[pos] ** (p - 2.0)
+    return out
 
 
 def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
@@ -337,10 +321,10 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
     """
     w = graph.weight
     if model == "aniso":
-        b = np.sqrt(w) ** p * _aniso_coeff(d, p, eps_smooth)
+        b = np.sqrt(w) ** p * _smoothed_power(d, p, eps_smooth)
     elif model == "iso":
         S = _scatter(graph, w * d * d)
-        alpha = _iso_alpha(S, p, eps_smooth)
+        alpha = _smoothed_power(np.sqrt(S), p, eps_smooth)
         b = 0.5 * w * (alpha[graph.src] + alpha[graph.dst])
     else:
         raise DomainError(f"unknown model {model!r}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InjectivityError
-from .manifolds import ANTIPODAL_MARGIN, Manifold
+from .errors import DomainError
+from .manifolds import Manifold
 
 
 @dataclass(eq=False)
@@ -149,28 +149,3 @@ def active_edge_mask(graph, f: VertexFunction):
         return None
     return f.mask[graph.src] & f.mask[graph.dst]
 
-
-def check_admissible(graph, f: VertexFunction) -> float:
-    """Verify every active edge joins values within the injectivity domain.
-
-    Returns the maximum geodesic distance across active edges.  Raises
-    InjectivityError naming the first offending edge otherwise.
-    """
-    if f.n_vertices != graph.n_vertices:
-        raise DomainError("vertex function length does not match graph")
-    ae = active_edge_mask(graph, f)
-    src, dst = graph.src, graph.dst
-    if ae is not None:
-        src, dst = src[ae], dst[ae]
-    if src.size == 0:
-        return 0.0
-    d = f.manifold.dist(f.values[src], f.values[dst])
-    dmax = float(d.max())
-    limit = f.manifold.injectivity_radius - ANTIPODAL_MARGIN
-    if dmax > limit:
-        k = int(np.argmax(d))
-        raise InjectivityError(
-            f"edge ({src[k]}, {dst[k]}) joins values at geodesic distance "
-            f"{dmax:.6f}, beyond the injectivity bound {limit:.6f}",
-            vertex=int(src[k]), neighbor=int(dst[k]))
-    return dmax

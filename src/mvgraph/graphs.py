@@ -166,7 +166,9 @@ def epsilon_ball_graph(positions, eps, metric="arc",
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[0] < 1:
         raise DomainError("positions must be a (n, d) array")
-    if eps <= 0:
+    if not np.isfinite(pos).all():
+        raise DomainError("positions must be finite")
+    if not eps > 0:
         raise DomainError("eps must be positive")
     if metric not in ("arc", "euclidean"):
         raise ConfigError(f"unknown metric {metric!r}")
@@ -243,6 +245,8 @@ def _patch_psm_candidates(f, shape, s, window=None, block=64):
     """
     h, w = _grid_shape(f, shape)
     n = h * w
+    if not isinstance(s, (int, np.integer)) or s < 0:
+        raise DomainError("patch half-width s must be an integer >= 0")
     if window is None:
         disps = [(dr, dc) for dr in range(h) for dc in range(w)
                  if not (dr == 0 and dc == 0)]

@@ -117,6 +117,16 @@ class Manifold:
         """Raise DomainError unless every entry of ``x`` is a valid point."""
         raise NotImplementedError
 
+    def _check_injective(self, d):
+        """Raise InjectivityError, naming the first offending batch row,
+        where a distance ``d`` lies within ``ANTIPODAL_MARGIN`` of the
+        injectivity radius (``log`` is undefined there)."""
+        bad = d > self.injectivity_radius - ANTIPODAL_MARGIN
+        if np.any(bad):
+            raise InjectivityError(
+                f"{self.kind}: log undefined for (numerically) antipodal pair",
+                vertex=int(np.argmax(bad)))
+
     def _check_shape(self, arr, what="point"):
         arr = np.asarray(arr, dtype=np.float64)
         k = len(self.point_shape)
@@ -201,12 +211,7 @@ class Circle(Manifold):
         x, y = self._check_shape(x), self._check_shape(y)
         v = wrap_angle(y - x)
         d = np.abs(v)[..., 0]
-        bad = d > np.pi - ANTIPODAL_MARGIN
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise InjectivityError(
-                "circle: log undefined for (numerically) antipodal pair",
-                vertex=idx)
+        self._check_injective(d)
         return v, d
 
     def transport(self, x, y, v):
@@ -261,12 +266,7 @@ class Sphere2(Manifold):
         perp = y - dot[..., None] * x
         pn = np.linalg.norm(perp, axis=-1)
         d = np.arctan2(pn, dot)
-        bad = d > np.pi - ANTIPODAL_MARGIN
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise InjectivityError(
-                "sphere2: log undefined for (numerically) antipodal pair",
-                vertex=idx)
+        self._check_injective(d)
         scale = np.where(pn > _TINY, d / np.where(pn > _TINY, pn, 1.0), 0.0)
         return scale[..., None] * perp, d
 

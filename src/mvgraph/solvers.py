@@ -46,7 +46,7 @@ import numpy as np
 from .calculus import (EPS_SMOOTH_DEFAULT, _energy, _expand, _residual,
                        _scatter, edge_logs)
 from .errors import ConfigError, DivergenceError, DomainError, InjectivityError
-from .fields import TangentVertexField, VertexFunction, check_admissible
+from .fields import TangentVertexField, VertexFunction
 from .graphs import WeightedGraph
 
 JACOBI_MIN_LAM = 1e-6
@@ -81,6 +81,9 @@ class SolverConfig:
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme must be one of {_SCHEMES}, "
                               f"got {self.scheme!r}")
+        for name in ("p", "lam", "dt", "eps_smooth", "stop_tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not self.p > 0:
             raise ConfigError("p must be positive")
         if self.lam < 0:
@@ -165,11 +168,12 @@ def _guarded(label, sweep, *args):
 
 
 def _step(graph, f, f0, cfg, scheme):
-    """One public sweep; only manifolds with a finite injectivity radius
-    can leave the admissible set, so only those are checked."""
+    """One public sweep.  Only manifolds with a finite injectivity radius
+    can leave the admissible set, so only there is the new iterate's edge
+    pass run, as the same check ``solve`` makes."""
     new = _advance(graph, f, f0, cfg, edge_logs(graph, f), scheme)
     if np.isfinite(f.manifold.injectivity_radius):
-        check_admissible(graph, new)
+        edge_logs(graph, new)
     return new
 
 

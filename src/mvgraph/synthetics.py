@@ -49,8 +49,8 @@ class NoiseSpec:
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"noise kind must be one of {NOISE_KINDS}, "
                               f"got {self.kind!r}")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be non-negative")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError("sigma must be finite and non-negative")
 
 
 def add_noise(f: VertexFunction, spec: NoiseSpec) -> VertexFunction:

@@ -14,8 +14,8 @@ from mvgraph.calculus import (aniso_p_laplacian, directional_derivative,
                               grad_div_identity, gradient, iso_p_laplacian,
                               local_variation, residual, symmetric_map,
                               vertex_distance, vertex_norm_p)
-from mvgraph.errors import DomainError
-from mvgraph.fields import TangentEdgeFunction, VertexFunction, check_admissible
+from mvgraph.errors import DomainError, InjectivityError
+from mvgraph.fields import TangentEdgeFunction, VertexFunction
 from mvgraph.graphs import WeightedGraph, grid_graph
 from mvgraph.manifolds import Circle, Euclidean, Spd, Sphere2
 
@@ -144,6 +144,37 @@ def test_divergence_concise_form_for_gradients(manifold, rng):
     np.testing.assert_allclose(div.values, concise, atol=1e-12)
 
 
+@pytest.mark.parametrize("manifold", [Circle(), Sphere2(), Spd(2)],
+                         ids=lambda m: m.kind)
+def test_divergence_loop_reference_one_way_masked(manifold, rng):
+    # make about 60% of the pairs one-way, draw fresh unequal weights and
+    # mask two vertices; the reference walks the edges one at a time,
+    # finds each reverse edge by lookup and transports it
+    n = 12
+    sym = random_symmetric_graph(rng, n)
+    keep = (sym.src < sym.dst) | (rng.uniform(size=sym.n_edges) < 0.4)
+    g = WeightedGraph(n, sym.src[keep], sym.dst[keep],
+                      rng.uniform(0.1, 1.0, size=int(keep.sum())))
+    assert np.any(g.reverse_edge_index < 0)
+    mask = np.ones(n, dtype=bool)
+    mask[[2, 7]] = False
+    f = clustered_vertex_function(manifold, rng, n, spread=0.5, mask=mask)
+    H = edge_fn(g, f, rng)
+    ref = np.zeros_like(f.values)
+    for e in range(g.n_edges):
+        u, v = int(g.src[e]), int(g.dst[e])
+        if not (mask[u] and mask[v]):
+            continue
+        ref[u] -= 0.5 * np.sqrt(g.weight[e]) * H.values[e]
+        r = g.edge_index(v, u)
+        if r >= 0:
+            back = manifold.transport(f.values[v], f.values[u], H.values[r])
+            ref[u] += 0.5 * np.sqrt(g.weight[r]) * back
+    div = divergence(g, f, H)
+    np.testing.assert_allclose(div.values, ref, atol=1e-12)
+    assert np.all(div.values[~mask] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # inner products, norms, the gradient/divergence relationship
 # ---------------------------------------------------------------------------
@@ -213,6 +244,24 @@ def test_grad_div_identity(manifold, rng):
     assert lhs == pytest.approx(rhs, abs=1e-10)
     zero = TangentEdgeFunction(g, f, np.zeros_like(H.values))
     assert grad_div_identity(g, f, zero) == (0.0, 0.0)
+
+
+def test_grad_div_identity_makes_one_edge_pass(rng):
+    # Euclidean transport takes no log, so every log_and_dist row comes
+    # from edge passes: both sides of the identity share one
+    rows = []
+
+    class CountingEuclidean(Euclidean):
+        def log_and_dist(self, x, y):
+            rows.append(len(x))
+            return super().log_and_dist(x, y)
+
+    e = CountingEuclidean(2)
+    g = grid_graph(4, 4)
+    f = VertexFunction(e, rng.normal(size=(16, 2)))
+    H = edge_fn(g, f, rng)
+    grad_div_identity(g, f, H)
+    assert rows == [g.n_edges]
 
 
 def test_pairing_with_divergence_convention(rng):
@@ -565,11 +614,10 @@ def test_check_admissible(rng):
     c = Circle()
     g = path_graph([1.0])
     good = VertexFunction(c, np.array([[0.0], [1.0]]))
-    assert check_admissible(g, good) == pytest.approx(1.0)
-    from mvgraph.errors import InjectivityError
+    assert edge_logs(g, good)[1].max() == pytest.approx(1.0)
     bad = VertexFunction(c, np.array([[0.0], [np.pi]]))
     with pytest.raises(InjectivityError):
-        check_admissible(g, bad)
+        edge_logs(g, bad)
 
 
 def test_quasi_norm_regime_runs(rng):

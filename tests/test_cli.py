@@ -97,6 +97,16 @@ def test_noise_deterministic_and_calibrated(tmp_path, capsys):
     assert float(line[4:]) == pytest.approx(0.09, rel=0.1)
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_noise_non_finite_sigma_exits_2(tmp_path, sigma):
+    clean = tmp_path / "c.mvd"
+    run("generate", "--kind", "phase", "--shape", 8, 8, "--out", clean)
+    out = tmp_path / "n.mvd"
+    assert run("noise", "--in", clean, "--sigma", sigma, "--seed", 3,
+               "--out", out) == 2
+    assert not out.exists()
+
+
 def test_eval_self_is_zero(tmp_path, capsys):
     clean = tmp_path / "c.mvd"
     run("generate", "--kind", "phase", "--shape", 16, 16, "--out", clean)
@@ -164,6 +174,22 @@ def test_build_graph_eps_ball_symmetric(tmp_path):
     assert "symmetric=1" in out.read_text().splitlines()[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "knn-patch", "--k", 3, "--patch", -1),
+    ("--kind", "eps-ball", "--eps", "nan"),
+])
+def test_build_graph_bad_geometry_exits_3(tmp_path, argv):
+    pos = tmp_path / "pos.tsv"
+    from mvgraph.mvdio import save_positions_tsv
+    save_positions_tsv(pos, fibonacci_sphere(64))
+    clean = tmp_path / "c.mvd"
+    run("generate", "--kind", "phase", "--shape", 8, 8, "--out", clean)
+    out = tmp_path / "g.tsv"
+    assert run("build-graph", *argv, "--positions", pos, "--in", clean,
+               "--out", out) == 3
+    assert not out.exists()
+
+
 def test_build_graph_eps_ball_requires_positions(tmp_path):
     clean = tmp_path / "c.mvd"
     run("generate", "--kind", "phase", "--shape", 8, 8, "--out", clean)
@@ -190,6 +216,17 @@ def test_denoise_jacobi_rejects_lambda_zero(tmp_path):
     assert run("denoise", "--in", noisy, "--graph", graph, "--model", "aniso",
                "--p", 2, "--lambda", 0, "--scheme", "jacobi",
                "--out", tmp_path / "o.mvd") == 2
+
+
+@pytest.mark.parametrize("flag", ["--eps-smooth", "--lambda"])
+def test_denoise_non_finite_parameter_exits_2(tmp_path, flag):
+    # at p = 1 a NaN smoothing would zero every coefficient, and a NaN
+    # lambda fails every sign test and would act as lambda = 0
+    _, noisy, graph = _small_problem(tmp_path)
+    out = tmp_path / "o.mvd"
+    assert run("denoise", "--in", noisy, "--graph", graph, "--p", 1,
+               flag, "nan", "--out", out) == 2
+    assert not out.exists()
 
 
 def test_denoise_huge_lambda_pins_input(tmp_path):

@@ -104,6 +104,20 @@ def test_eps_ball_antipodal_points_unconnected():
     assert g.isolated_vertices().size == 2
 
 
+@pytest.mark.parametrize("metric", ["arc", "euclidean"])
+def test_eps_ball_rejects_non_finite_positions(metric):
+    pos = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="finite"):
+        epsilon_ball_graph(pos, 0.5, metric=metric)
+
+
+@pytest.mark.parametrize("eps", [np.nan, 0.0, -1.0])
+def test_eps_ball_rejects_non_positive_eps(eps):
+    pos = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(DomainError, match="eps"):
+        epsilon_ball_graph(pos, eps)
+
+
 def test_eps_ball_collinear_voxels():
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
     g = epsilon_ball_graph(pos, 2.0, metric="euclidean", weight_rule="unit")
@@ -241,6 +255,14 @@ def test_knn_too_few_candidates():
     f = VertexFunction(c, np.zeros((4, 1)))
     with pytest.raises(DomainError):
         knn_patch_graph(f, (2, 2), k=4, s=0)
+
+
+@pytest.mark.parametrize("s", [-1, 1.5])
+def test_knn_rejects_bad_patch_half_width(s):
+    # s = -1 would sum empty patches and link every pixel at distance 0
+    f = VertexFunction(Circle(), np.zeros((4, 1)))
+    with pytest.raises(DomainError, match="half-width"):
+        knn_patch_graph(f, (2, 2), k=1, s=s)
 
 
 def test_knn_selection_brute_force(rng):

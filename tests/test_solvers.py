@@ -73,6 +73,15 @@ def test_solve_validates_config():
         solve(g, f0, cfg(p=0.0))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["p", "lam", "dt", "eps_smooth", "stop_tol"])
+def test_config_rejects_non_finite_fields(name, value):
+    # NaN fails every sign rule silently (nan < 0 is False), and NaN
+    # smoothing would zero every edge coefficient
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        cfg(**{name: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # frozen single steps
 # ---------------------------------------------------------------------------
