@@ -26,6 +26,8 @@ Conventions
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, InjectivityError
@@ -47,10 +49,12 @@ def _expand(arr, point_shape):
 def _scatter(graph, terms):
     """Sum per-edge scalar or tangent ``terms`` over each vertex's out-edges."""
     n = graph.n_vertices
-    flat = terms.reshape(terms.shape[0], -1)
+    flat = terms.reshape(terms.shape[0], math.prod(terms.shape[1:]))
     cols = [np.bincount(graph.src, weights=flat[:, j], minlength=n)
             for j in range(flat.shape[1])]
-    return np.stack(cols, axis=1).reshape((n,) + terms.shape[1:])
+    # (bincount returns integers when there are no edges)
+    return np.stack(cols, axis=1, dtype=np.float64).reshape(
+        (n,) + terms.shape[1:])
 
 
 def _check_pair(graph, f: VertexFunction):

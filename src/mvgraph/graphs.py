@@ -19,6 +19,21 @@ from .errors import ConfigError, DomainError, FormatError
 
 KNN_WEIGHT_FLOOR = 1e-3
 
+# The builders take their n x n pair arrays in blocks of rows (epsilon-ball)
+# or displacements (kNN) of about this many entries, so their working
+# memory does not grow with n^2.
+_BLOCK_PAIRS = 2 ** 18
+# The patch box sum adds 2(2s+1) shifted copies of its input; it works on
+# sub-blocks of about this many entries so that they stay in cache.
+_CACHE_PAIRS = 2 ** 15
+# The epsilon-ball graph prefilters pairs on dot products and decides the
+# prefiltered pairs by the exact distance.  The prefilter's slack makes it
+# a superset of the pairs within eps: the arc metric's unit vectors may be
+# off by _UNIT_TOL in norm, and a squared euclidean distance taken from dot
+# products rounds by about 1e-16 * dim * (|x|^2 + |y|^2).
+_UNIT_TOL = 1e-8
+_EUCLID_SLACK = 1e-9
+
 
 class WeightedGraph:
     """Directed weighted graph on vertices 0..n-1 with positive weights."""
@@ -162,6 +177,10 @@ def epsilon_ball_graph(positions, eps, metric="arc",
     circle distance; 'euclidean' uses the ambient norm.  weight_rule 'invsq'
     sets w = d^-2 (the point-cloud convention), 'unit' sets w = 1 (the voxel
     convention).  Isolated vertices are kept but reported via a warning.
+
+    Pairs are taken in row blocks and prefiltered on their dot products;
+    the exact distance is computed for the prefiltered pairs only, so
+    memory grows with the edge count, not with n^2.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[0] < 1:
@@ -176,16 +195,34 @@ def epsilon_ball_graph(positions, eps, metric="arc",
         raise ConfigError(f"unknown weight rule {weight_rule!r}")
     n = pos.shape[0]
     if metric == "arc":
-        if pos.shape[1] != 3 or np.any(np.abs(np.linalg.norm(pos, axis=1) - 1) > 1e-8):
+        if pos.shape[1] != 3 or np.any(
+                np.abs(np.linalg.norm(pos, axis=1) - 1) > _UNIT_TOL):
             raise DomainError("arc metric requires unit vectors in R^3")
-        dots = np.clip(pos @ pos.T, -1.0, 1.0)
-        cr = np.cross(pos[:, None, :], pos[None, :, :])
-        d = np.arctan2(np.linalg.norm(cr, axis=-1), dots)
+        # arc <= eps <=> x.y >= cos(eps) on unit vectors
+        lo = np.cos(min(eps, np.pi)) - 4 * _UNIT_TOL
     else:
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.linalg.norm(diff, axis=-1)
-    iu, ju = np.nonzero((d <= eps) & ~np.eye(n, dtype=bool))
-    dij = d[iu, ju]
+        sq = np.einsum("ij,ij->i", pos, pos)
+    rows = max(1, _BLOCK_PAIRS // n)
+    src, dst, dist = [], [], []
+    for start in range(0, n, rows):
+        dots = pos[start:start + rows] @ pos.T
+        if metric == "arc":
+            np.clip(dots, -1.0, 1.0, out=dots)
+            bi, j = np.nonzero(dots >= lo)
+            i = bi + start
+            d = np.arctan2(np.linalg.norm(np.cross(pos[i], pos[j]), axis=-1),
+                           dots[bi, j])
+        else:
+            s2 = sq[start:start + rows, None] + sq[None, :]
+            bi, j = np.nonzero(s2 - 2.0 * dots <= eps * eps * (1 + _EUCLID_SLACK)
+                               + _EUCLID_SLACK * s2)
+            i = bi + start
+            d = np.linalg.norm(pos[i] - pos[j], axis=-1)
+        keep = (d <= eps) & (i != j)
+        src.append(i[keep])
+        dst.append(j[keep])
+        dist.append(d[keep])
+    dij = np.concatenate(dist)
     if weight_rule == "invsq":
         if np.any(dij == 0.0):
             raise DomainError(
@@ -193,7 +230,8 @@ def epsilon_ball_graph(positions, eps, metric="arc",
         wts = 1.0 / dij ** 2
     else:
         wts = np.ones(dij.size)
-    g = WeightedGraph(n, iu, ju, wts, symmetric=True)
+    g = WeightedGraph(n, np.concatenate(src), np.concatenate(dst), wts,
+                      symmetric=True)
     iso = g.isolated_vertices()
     if iso.size:
         warnings.warn(f"epsilon-ball graph has {iso.size} isolated vertices",
@@ -212,69 +250,89 @@ def _grid_shape(f, shape):
     return h, w
 
 
-def _shift_perm(h, w, dr, dc):
-    """Flat index of pixel (r+dr, c+dc) with periodic wrap, for all pixels."""
-    r = (np.arange(h)[:, None] + dr) % h
-    c = (np.arange(w)[None, :] + dc) % w
-    return (r * w + c).ravel()
-
-
 def _box_sum(a, s):
     """Sum of the (2s+1)^2 periodic patch around each pixel, per row of a.
 
-    a has shape (..., h, w); summation is over the trailing two axes'
-    offsets in [-s, s]."""
+    a has shape (B, h, w); summation is over the trailing two axes'
+    offsets in [-s, s], rows first, each axis in the order -s..s.  The
+    shifted copies are slices of one periodic extension of the array, so
+    s may exceed h or w."""
+    h, w = a.shape[1:]
+    ext_rows, ext_cols = np.arange(-s, h + s) % h, np.arange(-s, w + s) % w
     out = np.zeros_like(a)
-    for dk in range(-s, s + 1):
-        out += np.roll(a, -dk, axis=-2)
-    out2 = np.zeros_like(out)
-    for dl in range(-s, s + 1):
-        out2 += np.roll(out, -dl, axis=-1)
-    return out2
+    step = max(1, _CACHE_PAIRS // (h * w))
+    for i in range(0, a.shape[0], step):
+        ext = a[i:i + step, ext_rows]
+        rows = np.zeros_like(out[i:i + step])
+        for dk in range(2 * s + 1):
+            rows += ext[:, dk:dk + h]
+        ext = rows[:, :, ext_cols]
+        for dl in range(2 * s + 1):
+            out[i:i + step] += ext[:, :, dl:dl + w]
+    return out
 
 
-def _patch_psm_candidates(f, shape, s, window=None, block=64):
-    """Squared patch distances from every pixel to its candidate set.
+def _patch_psm_candidates(f, shape, s, window=None):
+    """Squared patch distances from every pixel to its candidates, in blocks.
 
-    Returns (psm2, cand): arrays of shape (n, K) where cand[i] lists the
-    candidate vertex for each column (global: every displacement of the
-    torus except zero; windowed: displacements within the square window).
-    Computation runs displacement-wise: the pixelwise squared distance
-    field of one shift is box-filtered over the patch, which yields the
-    patch distance of every pixel to its shifted partner at once.
+    Yields pairs (psm2, cand) of shape (B, n), one row per displacement:
+    cand[b, i] is the pixel that displacement b takes pixel i to, and
+    psm2[b, i] the squared patch distance between the two (global: every
+    displacement of the torus except zero; windowed: displacements within
+    the square window).  Computation runs displacement-wise: the pixelwise
+    squared distance field of one shift is box-filtered over the patch,
+    which yields the patch distance of every pixel to its shifted partner
+    at once.
     """
     h, w = _grid_shape(f, shape)
     n = h * w
     if not isinstance(s, (int, np.integer)) or s < 0:
         raise DomainError("patch half-width s must be an integer >= 0")
+    # displacements (dr, dc) of the torus as flat offsets dr * w + dc
     if window is None:
-        disps = [(dr, dc) for dr in range(h) for dc in range(w)
-                 if not (dr == 0 and dc == 0)]
+        disps = np.arange(1, n)
     else:
-        wd = int(window)
-        if wd < 1:
+        if not isinstance(window, (int, np.integer)):
+            raise DomainError("search window must be an integer")
+        if window < 1:
             raise ConfigError("search window must be >= 1")
-        disps = [(dr % h, dc % w)
-                 for dr in range(-min(wd, h - 1), min(wd, h - 1) + 1)
-                 for dc in range(-min(wd, w - 1), min(wd, w - 1) + 1)
-                 if not (dr == 0 and dc == 0)]
-        disps = sorted(set(disps))
+        wr, wc = min(window, h - 1), min(window, w - 1)
+        dr, dc = np.meshgrid(np.arange(-wr, wr + 1), np.arange(-wc, wc + 1),
+                             indexing="ij")
+        disps = np.unique((dr % h) * w + dc % w)
+        disps = disps[disps != 0]
+    rows, cols = np.arange(h)[:, None], np.arange(w)
     active = f.active
     vals = f.values
-    psm2 = np.empty((n, len(disps)))
-    cand = np.empty((n, len(disps)), dtype=np.int64)
-    for start in range(0, len(disps), block):
-        chunk = disps[start:start + block]
-        perms = np.stack([_shift_perm(h, w, dr, dc) for dr, dc in chunk])
+    block = max(1, _BLOCK_PAIRS // n)
+    for start in range(0, disps.size, block):
+        dr, dc = np.divmod(disps[start:start + block, None, None], w)
+        perms = ((rows + dr) % h * w + (cols + dc) % w).reshape(-1, n)
         d = f.manifold.dist(
-            np.broadcast_to(vals, (len(chunk),) + vals.shape), vals[perms])
+            np.broadcast_to(vals, (len(perms),) + vals.shape), vals[perms])
         a = d * d
         a *= active[None, :]
         a *= active[perms]
-        b = _box_sum(a.reshape(len(chunk), h, w), s).reshape(len(chunk), n)
-        psm2[:, start:start + len(chunk)] = b.T
-        cand[:, start:start + len(chunk)] = perms.T
-    return psm2, cand
+        yield _box_sum(a.reshape(-1, h, w), s).reshape(-1, n), perms
+
+
+def _top_k(vals, idx, k):
+    """The k smallest entries of every row of ``vals`` under the order
+    (value, idx), as arrays (values, idx) of shape (n, k), unordered within
+    a row."""
+    part = np.argpartition(vals, k - 1, axis=1)[:, :k]
+    topv = np.take_along_axis(vals, part, axis=1)
+    topi = np.take_along_axis(idx, part, axis=1)
+    # argpartition chooses freely among entries equal to the k-th value;
+    # order the rows where such a tie straddles the boundary by index
+    tied = np.flatnonzero(
+        np.count_nonzero(vals <= topv[:, k - 1:], axis=1) > k)
+    if tied.size:
+        v, i = vals[tied], idx[tied]
+        order = np.lexsort((i, v), axis=1)[:, :k]
+        topv[tied] = np.take_along_axis(v, order, axis=1)
+        topi[tied] = np.take_along_axis(i, order, axis=1)
+    return topv, topi
 
 
 def knn_patch_graph(f, shape, k, s, window=None) -> WeightedGraph:
@@ -287,43 +345,46 @@ def knn_patch_graph(f, shape, k, s, window=None) -> WeightedGraph:
     every selected neighbour keeps a positive weight; if all k distances
     coincide every weight is 1.  The result is symmetrized by
     w(u,v) <- max(w(u,v), w(v,u)) over the union of the edge sets.
+
+    The candidates stream through a running top-k per pixel, so memory
+    grows with n * k, not with the n^2 candidate pairs.
     """
     h, w = _grid_shape(f, shape)
     n = h * w
-    k = int(k)
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise DomainError("k must be an integer >= 1")
     if k >= n:
         raise DomainError("k must be smaller than the number of vertices")
-    psm2, cand = _patch_psm_candidates(f, shape, s, window=window)
     active = f.active
-    src_list, dst_list, w_list = [], [], []
-    for i in range(n):
-        if not active[i]:
-            continue
-        row = psm2[i]
-        cj = cand[i]
-        valid = active[cj] & (cj != i)
-        if valid.sum() < k:
-            raise DomainError(
-                f"vertex {i} has only {int(valid.sum())} candidates, need k={k}")
-        rows, cols = row[valid], cj[valid]
-        order = np.lexsort((cols, rows))[:k]
-        dsel = np.sqrt(rows[order])
-        jsel = cols[order]
-        d1, dk_ = dsel[0], dsel[-1]
-        if dk_ > d1:
-            wts = np.clip((dk_ - dsel) / (dk_ - d1), KNN_WEIGHT_FLOOR, 1.0)
-        else:
-            wts = np.ones(k)
-        src_list.append(np.full(k, i, dtype=np.int64))
-        dst_list.append(jsel)
-        w_list.append(wts)
-    if not src_list:
+    # placeholders sort after every candidate: +inf at index n
+    topv = np.full((n, k), np.inf)
+    topi = np.full((n, k), n)
+    count = np.zeros(n, dtype=np.int64)
+    for psm2, cand in _patch_psm_candidates(f, shape, s, window=window):
+        valid = active[cand] & (cand != np.arange(n))
+        count += valid.sum(axis=0)
+        psm2[~valid] = np.inf
+        # merge only the rows where a candidate can enter the top k
+        hit = np.flatnonzero((psm2 <= topv.max(axis=1)).any(axis=0))
+        topv[hit], topi[hit] = _top_k(
+            np.concatenate([topv[hit], psm2[:, hit].T], axis=1),
+            np.concatenate([topi[hit], cand[:, hit].T], axis=1), k)
+    act = np.flatnonzero(active)
+    short = act[count[act] < k]
+    if short.size:
+        i = short[0]
+        raise DomainError(
+            f"vertex {i} has only {count[i]} candidates, need k={k}")
+    if not act.size:
         return WeightedGraph(n, [], [], [], symmetric=True)
-    src = np.concatenate(src_list)
-    dst = np.concatenate(dst_list)
-    wts = np.concatenate(w_list)
+    dsel = np.sqrt(topv[act])
+    d1, dk_ = dsel.min(axis=1, keepdims=True), dsel.max(axis=1, keepdims=True)
+    spread = dk_ > d1
+    wts = np.where(spread, np.clip((dk_ - dsel) / np.where(spread, dk_ - d1, 1.0),
+                                   KNN_WEIGHT_FLOOR, 1.0), 1.0)
+    src = np.repeat(act, k)
+    dst = topi[act].ravel()
+    wts = wts.ravel()
     # symmetrize over the union of edge sets
     keys = np.concatenate([src * n + dst, dst * n + src])
     wall = np.concatenate([wts, wts])
@@ -344,11 +405,12 @@ _HEADER_RE = re.compile(r"^# mvgraph-edges v1 n=(\d+) symmetric=([01])$")
 
 def save_edges_tsv(path, graph: WeightedGraph):
     """Write the directed edge list as TSV with a versioned header."""
+    body = "".join(f"{u}\t{v}\t{wt!r}\n" for u, v, wt in zip(
+        graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# mvgraph-edges v1 n={graph.n_vertices} "
                  f"symmetric={1 if graph.symmetric else 0}\n")
-        for u, v, wt in zip(graph.src, graph.dst, graph.weight):
-            fh.write(f"{u}\t{v}\t{float(wt)!r}\n")
+        fh.write(body)
 
 
 def load_edges_tsv(path) -> WeightedGraph:

@@ -190,6 +190,23 @@ def test_build_graph_bad_geometry_exits_3(tmp_path, argv):
     assert not out.exists()
 
 
+def test_edgeless_eps_ball_graph_denoises_to_the_input(tmp_path):
+    # eps below every point spacing: no edge, every vertex isolated
+    clean = tmp_path / "c.mvd"
+    pos = tmp_path / "pos.tsv"
+    run("generate", "--kind", "spd-sphere", "--shape", 50, "--out", clean,
+        "--positions", pos)
+    graph = tmp_path / "g.tsv"
+    with pytest.warns(UserWarning, match="50 isolated"):
+        assert run("build-graph", "--kind", "eps-ball", "--eps", 1e-6,
+                   "--positions", pos, "--in", clean, "--out", graph) == 0
+    assert load_edges_tsv(graph).n_edges == 0
+    out = tmp_path / "o.mvd"
+    assert run("denoise", "--in", clean, "--graph", graph, "--lambda", 1,
+               "--scheme", "jacobi", "--out", out) == 0
+    assert mse(load_mvd(out).function, load_mvd(clean).function) < 1e-24
+
+
 def test_build_graph_eps_ball_requires_positions(tmp_path):
     clean = tmp_path / "c.mvd"
     run("generate", "--kind", "phase", "--shape", 8, 8, "--out", clean)

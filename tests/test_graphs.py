@@ -1,17 +1,24 @@
 """Graph construction oracles: enumerated edge counts, brute-force
-recomputation of patch distances and neighbour selections."""
+recomputation of patch distances and neighbour selections, and the dense
+n x n builders that the streamed ones must reproduce bit for bit."""
+
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import clustered_vertex_function, random_symmetric_graph
-from mvgraph.errors import DomainError, FormatError
+from conftest import (clustered_vertex_function, random_point,
+                      random_symmetric_graph)
+from mvgraph import graphs
+from mvgraph.errors import ConfigError, DomainError, FormatError
 from mvgraph.fields import VertexFunction
-from mvgraph.graphs import (KNN_WEIGHT_FLOOR, WeightedGraph,
+from mvgraph.graphs import (KNN_WEIGHT_FLOOR, WeightedGraph, _box_sum,
                             _patch_psm_candidates, epsilon_ball_graph,
                             grid_graph, knn_patch_graph, load_edges_tsv,
                             save_edges_tsv)
-from mvgraph.manifolds import Circle, Euclidean, wrap_angle
+from mvgraph.manifolds import Circle, Spd, Sphere2
+from mvgraph.synthetics import fibonacci_sphere
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +180,18 @@ def _brute_patch_distance(f, shape, i, j, s):
 
 
 def _assert_psm_matches_brute(f, shape, s, window=None):
-    psm2, cand = _patch_psm_candidates(f, shape, s, window=window)
-    for i in range(f.n_vertices):
-        for c in range(cand.shape[1]):
-            brute = _brute_patch_distance(f, shape, i, int(cand[i, c]), s)
-            assert abs(psm2[i, c] - brute ** 2) <= 1e-12
-    return psm2, cand
+    """Check every block of the candidate stream against the brute-force
+    patch distance; return the blocks joined as (n, K) arrays, one column
+    per candidate."""
+    psm2_cols, cand_cols = [], []
+    for psm2, cand in _patch_psm_candidates(f, shape, s, window=window):
+        for b in range(cand.shape[0]):
+            for i in range(f.n_vertices):
+                brute = _brute_patch_distance(f, shape, i, int(cand[b, i]), s)
+                assert abs(psm2[b, i] - brute ** 2) <= 1e-12
+        psm2_cols.append(psm2.T)
+        cand_cols.append(cand.T)
+    return np.hstack(psm2_cols), np.hstack(cand_cols)
 
 
 def test_patch_distance_trivia():
@@ -307,6 +320,285 @@ def test_knn_masked_vertices_have_no_edges(rng):
     assert not np.isin(g.dst, [3, 7]).any()
 
 
+@pytest.mark.parametrize("k, window", [(2.7, None), (np.nan, None),
+                                       ("3", None), (2, 1.6), (2, np.nan)])
+def test_knn_rejects_non_integer_k_and_window(k, window):
+    # int() used to truncate 2.7 and 1.6 silently and fail on NaN
+    f = VertexFunction(Circle(), np.zeros((9, 1)))
+    with pytest.raises(DomainError):
+        knn_patch_graph(f, (3, 3), k=k, s=0, window=window)
+
+
+def test_knn_rejects_small_window():
+    f = VertexFunction(Circle(), np.zeros((9, 1)))
+    with pytest.raises(ConfigError, match="window"):
+        knn_patch_graph(f, (3, 3), k=1, s=0, window=0)
+
+
+# ---------------------------------------------------------------------------
+# streamed builders against the dense n x n references
+# ---------------------------------------------------------------------------
+
+def _dense_box_sum(a, s):
+    out = np.zeros_like(a)
+    for dk in range(-s, s + 1):
+        out += np.roll(a, -dk, axis=-2)
+    out2 = np.zeros_like(out)
+    for dl in range(-s, s + 1):
+        out2 += np.roll(out, -dl, axis=-1)
+    return out2
+
+
+def _dense_knn_reference(f, shape, k, s, window=None):
+    """The kNN-patch builder as it was before streaming: the full (n, K)
+    candidate arrays, then a lexsort per vertex."""
+    h, w = shape
+    n = h * w
+    if window is None:
+        disps = [(dr, dc) for dr in range(h) for dc in range(w)
+                 if not (dr == 0 and dc == 0)]
+    else:
+        disps = sorted({(dr % h, dc % w)
+                        for dr in range(-min(window, h - 1), min(window, h - 1) + 1)
+                        for dc in range(-min(window, w - 1), min(window, w - 1) + 1)
+                        if not (dr == 0 and dc == 0)})
+    active, vals = f.active, f.values
+    psm2 = np.empty((n, len(disps)))
+    cand = np.empty((n, len(disps)), dtype=np.int64)
+    for start in range(0, len(disps), 64):
+        chunk = disps[start:start + 64]
+        perms = np.stack([((np.arange(h)[:, None] + dr) % h * w
+                           + (np.arange(w)[None, :] + dc) % w).ravel()
+                          for dr, dc in chunk])
+        d = f.manifold.dist(
+            np.broadcast_to(vals, (len(chunk),) + vals.shape), vals[perms])
+        a = d * d
+        a *= active[None, :]
+        a *= active[perms]
+        b = _dense_box_sum(a.reshape(len(chunk), h, w), s).reshape(len(chunk), n)
+        psm2[:, start:start + len(chunk)] = b.T
+        cand[:, start:start + len(chunk)] = perms.T
+    src_list, dst_list, w_list = [], [], []
+    for i in range(n):
+        if not active[i]:
+            continue
+        cj = cand[i]
+        valid = active[cj] & (cj != i)
+        rows, cols = psm2[i][valid], cj[valid]
+        order = np.lexsort((cols, rows))[:k]
+        dsel = np.sqrt(rows[order])
+        d1, dk_ = dsel[0], dsel[-1]
+        if dk_ > d1:
+            wts = np.clip((dk_ - dsel) / (dk_ - d1), KNN_WEIGHT_FLOOR, 1.0)
+        else:
+            wts = np.ones(k)
+        src_list.append(np.full(k, i, dtype=np.int64))
+        dst_list.append(cols[order])
+        w_list.append(wts)
+    src = np.concatenate(src_list)
+    dst = np.concatenate(dst_list)
+    wts = np.concatenate(w_list)
+    keys = np.concatenate([src * n + dst, dst * n + src])
+    wall = np.concatenate([wts, wts])
+    order = np.argsort(keys, kind="stable")
+    keys, wall = keys[order], wall[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(keys) > 0)))
+    ukeys = keys[starts]
+    uw = np.maximum.reduceat(wall, starts)
+    return WeightedGraph(n, ukeys // n, ukeys % n, uw, symmetric=True)
+
+
+def _dense_eps_ball_reference(pos, eps, metric, weight_rule):
+    """The epsilon-ball builder as it was before streaming: every pairwise
+    distance in one n x n array."""
+    n = pos.shape[0]
+    if metric == "arc":
+        dots = np.clip(pos @ pos.T, -1.0, 1.0)
+        cr = np.cross(pos[:, None, :], pos[None, :, :])
+        d = np.arctan2(np.linalg.norm(cr, axis=-1), dots)
+    else:
+        d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    iu, ju = np.nonzero((d <= eps) & ~np.eye(n, dtype=bool))
+    dij = d[iu, ju]
+    wts = 1.0 / dij ** 2 if weight_rule == "invsq" else np.ones(dij.size)
+    return WeightedGraph(n, iu, ju, wts, symmetric=True)
+
+
+def _assert_same_graph(g, ref):
+    assert g.n_vertices == ref.n_vertices and g.symmetric == ref.symmetric
+    assert np.array_equal(g.src, ref.src)
+    assert np.array_equal(g.dst, ref.dst)
+    assert np.array_equal(g.weight, ref.weight)
+
+
+def test_box_sum_matches_rolled_sum(rng):
+    # the last shape is summed in cache-sized sub-blocks of displacements
+    for shape, s in [((3, 5, 4), 1), ((2, 4, 6), 2), ((1, 2, 3), 4),
+                     ((1, 1, 1), 2), ((5, 96, 128), 3)]:
+        a = rng.random(shape) ** 3
+        assert np.array_equal(_box_sum(a, s), _dense_box_sum(a, s))
+
+
+_KNN_CASES = {
+    # name: (manifold, (h, w), k, s, window, masked)
+    "circle-global": (Circle(), (5, 6), 3, 1, None, False),
+    "circle-masked": (Circle(), (5, 6), 3, 1, None, True),
+    "circle-window1": (Circle(), (6, 7), 2, 1, 1, True),
+    "circle-window2": (Circle(), (6, 7), 4, 2, 2, False),
+    "circle-s0": (Circle(), (4, 5), 3, 0, None, False),
+    "circle-s2": (Circle(), (5, 5), 3, 2, None, True),
+    "circle-s-exceeds-grid": (Circle(), (2, 3), 2, 3, None, False),
+    "circle-k1": (Circle(), (5, 6), 1, 1, None, True),
+    "circle-9x9": (Circle(), (9, 9), 5, 1, None, True),
+    # 575 displacements: two blocks of the default size
+    "circle-two-blocks": (Circle(), (24, 24), 6, 2, None, True),
+    "sphere2": (Sphere2(), (5, 6), 3, 1, None, True),
+    "spd2": (Spd(2), (4, 5), 3, 1, 2, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KNN_CASES))
+def test_knn_matches_dense_reference(case, rng, monkeypatch):
+    manifold, (h, w), k, s, window, masked = _KNN_CASES[case]
+    n = h * w
+    mask = None
+    if masked:
+        mask = rng.random(n) > 0.2
+        mask[:2] = True
+    f = clustered_vertex_function(manifold, rng, n, spread=1.0, mask=mask)
+    ref = _dense_knn_reference(f, (h, w), k, s, window)
+    _assert_same_graph(knn_patch_graph(f, (h, w), k, s, window=window), ref)
+    # blocks of 7 displacements: the merge runs many times on every case
+    monkeypatch.setattr(graphs, "_BLOCK_PAIRS", 7 * n)
+    _assert_same_graph(knn_patch_graph(f, (h, w), k, s, window=window), ref)
+
+
+def test_knn_constant_image_matches_dense_reference(monkeypatch):
+    # every candidate ties: the smaller index decides every selection
+    f = VertexFunction(Circle(), np.full((63, 1), 0.5))
+    ref = _dense_knn_reference(f, (7, 9), 4, 1)
+    _assert_same_graph(knn_patch_graph(f, (7, 9), 4, 1), ref)
+    monkeypatch.setattr(graphs, "_BLOCK_PAIRS", 5 * 63)
+    _assert_same_graph(knn_patch_graph(f, (7, 9), 4, 1), ref)
+
+
+def test_knn_quantized_image_matches_dense_reference(rng, monkeypatch):
+    # few distinct values: ties straddle the k-th place in many rows
+    vals = rng.integers(0, 3, size=(8 * 9, 1)) * 0.5
+    f = VertexFunction(Circle(), vals.astype(float))
+    for k, s in [(3, 0), (6, 1)]:
+        ref = _dense_knn_reference(f, (8, 9), k, s)
+        _assert_same_graph(knn_patch_graph(f, (8, 9), k, s), ref)
+        monkeypatch.setattr(graphs, "_BLOCK_PAIRS", 3 * 72)
+        _assert_same_graph(knn_patch_graph(f, (8, 9), k, s), ref)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("weight_rule", ["invsq", "unit"])
+def test_eps_ball_euclidean_matches_dense_reference(weight_rule, rng,
+                                                    monkeypatch):
+    pos = rng.normal(size=(301, 3)) * 40.0 + 7.0
+    # pairs within eps whose |x|^2 + |y|^2 - 2 x.y rounds to above eps^2
+    pos[:8] = [[-672.0006431251159, 323.27488703341896, -1482.249920374666],
+               [-678.5989629378192, 345.6876483135864, -1473.3543986110194],
+               [63070.73887962891, 36614.00339621959, 12392.9835637188],
+               [63082.74691410469, 36630.14778272326, 12407.82155187247],
+               [3620.522990569825, 189.9399597943291, 7753.284292165686],
+               [3608.501974048141, 182.7720199719427, 7732.5691817269735],
+               [-11.949565815395324, 31.903970585368054, 109.57577289371905],
+               [7.730834619084568, 41.960267072660294, 121.26135117201565]]
+    ref = _dense_eps_ball_reference(pos, 25.0, "euclidean", weight_rule)
+    assert ref.n_edges > 1000
+    assert all(ref.edge_index(i, i + 1) >= 0 for i in (0, 2, 4, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rows in (None, 13, 1):   # 301 is not a multiple of 13
+            if rows is not None:
+                monkeypatch.setattr(graphs, "_BLOCK_PAIRS", rows * 301)
+            _assert_same_graph(
+                epsilon_ball_graph(pos, 25.0, "euclidean", weight_rule), ref)
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_eps_ball_arc_matches_dense_reference(rows, monkeypatch):
+    # the spd-sphere recipe's points and eps; 2000 is not a multiple of the
+    # default 131 rows per block
+    pos = fibonacci_sphere(2000)
+    eps = np.pi / 12
+    ref = _dense_eps_ball_reference(pos, eps, "arc", "invsq")
+    assert ref.n_edges == 67678
+    if rows is not None:
+        monkeypatch.setattr(graphs, "_BLOCK_PAIRS", rows * 2000)
+    _assert_same_graph(epsilon_ball_graph(pos, eps), ref)
+    unit = epsilon_ball_graph(pos, eps, weight_rule="unit")
+    assert np.array_equal(unit.src, ref.src) and np.array_equal(unit.dst, ref.dst)
+    assert np.all(unit.weight == 1.0)
+
+
+def test_eps_ball_arc_small_blocks_match_dense_reference(rng, monkeypatch):
+    # The arc distance reads x.y from a matrix product.  At some sizes the
+    # BLAS rounds a row block's product differently in the last bit from
+    # the reference's one n x n product, so weights are compared to 1e-14
+    # here; the recipe-size test above pins them bit for bit.
+    pos = random_point(Sphere2(), rng, 301)
+    ref = _dense_eps_ball_reference(pos, 0.3, "arc", "invsq")
+    for rows in (None, 13, 1):
+        if rows is not None:
+            monkeypatch.setattr(graphs, "_BLOCK_PAIRS", rows * 301)
+        g = epsilon_ball_graph(pos, 0.3)
+        assert np.array_equal(g.src, ref.src) and np.array_equal(g.dst, ref.dst)
+        np.testing.assert_allclose(g.weight, ref.weight, rtol=1e-14)
+
+
+def test_eps_ball_large_eps_joins_every_pair(rng):
+    pos = random_point(Sphere2(), rng, 40)
+    for eps in (4.0, np.inf):
+        g = epsilon_ball_graph(pos, eps)
+        assert g.n_edges == 40 * 39
+        np.testing.assert_allclose(
+            g.weight, _dense_eps_ball_reference(pos, eps, "arc", "invsq").weight,
+            rtol=1e-14)
+    with pytest.warns(UserWarning, match="isolated"):
+        assert epsilon_ball_graph(pos, 1e-9).n_edges == 0
+
+
+def test_eps_ball_near_unit_vectors_keep_every_pair(rng):
+    # norms may be off by up to 1e-8; the prefilter on x.y must still keep
+    # every pair within eps
+    eps = 0.25
+    pos = random_point(Sphere2(), rng, 400)
+    pos *= 1 + rng.uniform(-0.9e-8, 0.9e-8, size=(400, 1))
+    # a pair 1e-9 inside eps whose short norms put x.y below cos(eps)
+    theta = eps - 1e-9
+    pos[:2] = (1 - 0.9e-8) * np.array([[1.0, 0.0, 0.0],
+                                       [np.cos(theta), np.sin(theta), 0.0]])
+    ref = _dense_eps_ball_reference(pos, eps, "arc", "invsq")
+    assert ref.edge_index(0, 1) >= 0
+    g = epsilon_ball_graph(pos, eps)
+    assert np.array_equal(g.src, ref.src) and np.array_equal(g.dst, ref.dst)
+
+
+def _builder_peak_mb(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_builders_memory_grows_with_edges_not_pairs(rng):
+    # the dense builders peaked at 286 MB and 288 MB on these inputs
+    h = w = 64
+    f = clustered_vertex_function(Circle(), rng, h * w, spread=1.0)
+    assert _builder_peak_mb(lambda: knn_patch_graph(f, (h, w), 12, 8)) < 64
+    pos = random_point(Sphere2(), rng, 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _builder_peak_mb(
+            lambda: epsilon_ball_graph(pos, np.pi / 12)) < 64
+
+
 # ---------------------------------------------------------------------------
 # TSV round trip
 # ---------------------------------------------------------------------------
@@ -335,3 +627,16 @@ def test_edges_tsv_rejects_garbage(tmp_path):
     p.write_text("# mvgraph-edges v1 n=2 symmetric=0\n0\t1\tfast\n")
     with pytest.raises(FormatError):
         load_edges_tsv(p)
+
+
+def test_edges_tsv_writes_repr_of_each_weight(tmp_path):
+    wts = [1e-3, 1 / 3, 2.0, 1e20, 5e-324, 0.1 + 0.2]
+    edges = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]
+    g = WeightedGraph.from_edges(
+        3, [(u, v, w) for (u, v), w in zip(edges, wts)])
+    p = tmp_path / "g.tsv"
+    save_edges_tsv(p, g)
+    expect = "# mvgraph-edges v1 n=3 symmetric=0\n" + "".join(
+        f"{u}\t{v}\t{float(w)!r}\n" for u, v, w in zip(g.src, g.dst, g.weight))
+    assert p.read_text() == expect
+    assert "0.30000000000000004" in expect and "5e-324" in expect

@@ -532,3 +532,21 @@ def test_dt_trace_records_the_dt_of_each_sweep():
     assert rep.dt_trace == [bad_dt / 2, bad_dt, bad_dt]
     _, rep = solve(g, f0, cfg(lam=0.0, dt=0.1, max_iters=4, stop_tol=0.0))
     assert rep.dt_trace == [0.1] * 4
+
+
+@pytest.mark.parametrize("manifold", [Sphere2(), Circle(), Spd(3)])
+@pytest.mark.parametrize("scheme", ["jacobi", "explicit"])
+def test_solve_on_edgeless_graph_returns_data(manifold, scheme, rng):
+    # the edge sums used to fail reshaping an empty array into (0, -1)
+    g = WeightedGraph(4, [], [], [], symmetric=True)
+    f0 = VertexFunction(manifold, random_point(manifold, rng, 4))
+    f, report = solve(g, f0, cfg(scheme=scheme, lam=1.0, dt=0.5,
+                                 record_energy=True))
+    assert report.reason == "converged" and report.iterations == 1
+    np.testing.assert_allclose(f.values, f0.values, atol=1e-14)
+    assert report.residual_max <= 1e-13
+    # from another start, jacobi lands on the data in one step
+    init = VertexFunction(manifold, random_point(manifold, rng, 4))
+    if scheme == "jacobi":
+        f, report = solve(g, f0, cfg(scheme=scheme, lam=1.0), init=init)
+        np.testing.assert_allclose(f.values, f0.values, atol=1e-12)
