@@ -53,7 +53,7 @@ def _scatter(graph, terms):
     cols = [np.bincount(graph.src, weights=flat[:, j], minlength=n)
             for j in range(flat.shape[1])]
     # (bincount returns integers when there are no edges)
-    return np.stack(cols, axis=1, dtype=np.float64).reshape(
+    return np.stack(cols, axis=1).astype(np.float64, copy=False).reshape(
         (n,) + terms.shape[1:])
 
 

@@ -26,13 +26,11 @@ _BLOCK_PAIRS = 2 ** 18
 # The patch box sum adds 2(2s+1) shifted copies of its input; it works on
 # sub-blocks of about this many entries so that they stay in cache.
 _CACHE_PAIRS = 2 ** 15
-# The epsilon-ball graph prefilters pairs on dot products and decides the
-# prefiltered pairs by the exact distance.  The prefilter's slack makes it
-# a superset of the pairs within eps: the arc metric's unit vectors may be
-# off by _UNIT_TOL in norm, and a squared euclidean distance taken from dot
-# products rounds by about 1e-16 * dim * (|x|^2 + |y|^2).
+# The arc metric's unit vectors may be off by this much in norm; the
+# epsilon-ball graph's dot-product prefilter is slackened to match.
 _UNIT_TOL = 1e-8
-_EUCLID_SLACK = 1e-9
+# Chunk size, in edges, of one write of an edge-list file.
+_TSV_CHUNK = 2 ** 16
 
 
 class WeightedGraph:
@@ -178,9 +176,9 @@ def epsilon_ball_graph(positions, eps, metric="arc",
     sets w = d^-2 (the point-cloud convention), 'unit' sets w = 1 (the voxel
     convention).  Isolated vertices are kept but reported via a warning.
 
-    Pairs are taken in row blocks and prefiltered on their dot products;
-    the exact distance is computed for the prefiltered pairs only, so
-    memory grows with the edge count, not with n^2.
+    Pairs are taken in row blocks, so memory grows with the edge count,
+    not with n^2; the arc metric prefilters each block on its dot products
+    and computes the exact distance for the prefiltered pairs only.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[0] < 1:
@@ -200,24 +198,23 @@ def epsilon_ball_graph(positions, eps, metric="arc",
             raise DomainError("arc metric requires unit vectors in R^3")
         # arc <= eps <=> x.y >= cos(eps) on unit vectors
         lo = np.cos(min(eps, np.pi)) - 4 * _UNIT_TOL
+        rows = max(1, _BLOCK_PAIRS // n)
     else:
-        sq = np.einsum("ij,ij->i", pos, pos)
-    rows = max(1, _BLOCK_PAIRS // n)
+        rows = max(1, _BLOCK_PAIRS // (n * pos.shape[1]))
     src, dst, dist = [], [], []
     for start in range(0, n, rows):
-        dots = pos[start:start + rows] @ pos.T
+        blk = pos[start:start + rows]
         if metric == "arc":
-            np.clip(dots, -1.0, 1.0, out=dots)
+            dots = np.clip(blk @ pos.T, -1.0, 1.0)
             bi, j = np.nonzero(dots >= lo)
             i = bi + start
             d = np.arctan2(np.linalg.norm(np.cross(pos[i], pos[j]), axis=-1),
                            dots[bi, j])
         else:
-            s2 = sq[start:start + rows, None] + sq[None, :]
-            bi, j = np.nonzero(s2 - 2.0 * dots <= eps * eps * (1 + _EUCLID_SLACK)
-                               + _EUCLID_SLACK * s2)
+            norms = np.linalg.norm(blk[:, None] - pos[None], axis=-1)
+            bi, j = np.nonzero(norms <= eps)
             i = bi + start
-            d = np.linalg.norm(pos[i] - pos[j], axis=-1)
+            d = norms[bi, j]
         keep = (d <= eps) & (i != j)
         src.append(i[keep])
         dst.append(j[keep])
@@ -405,12 +402,14 @@ _HEADER_RE = re.compile(r"^# mvgraph-edges v1 n=(\d+) symmetric=([01])$")
 
 def save_edges_tsv(path, graph: WeightedGraph):
     """Write the directed edge list as TSV with a versioned header."""
-    body = "".join(f"{u}\t{v}\t{wt!r}\n" for u, v, wt in zip(
-        graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# mvgraph-edges v1 n={graph.n_vertices} "
                  f"symmetric={1 if graph.symmetric else 0}\n")
-        fh.write(body)
+        for a in range(0, graph.n_edges, _TSV_CHUNK):
+            b = a + _TSV_CHUNK
+            fh.write("".join(f"{u}\t{v}\t{wt!r}\n" for u, v, wt in zip(
+                graph.src[a:b].tolist(), graph.dst[a:b].tolist(),
+                graph.weight[a:b].tolist())))
 
 
 def load_edges_tsv(path) -> WeightedGraph:

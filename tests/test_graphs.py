@@ -498,25 +498,24 @@ def test_knn_quantized_image_matches_dense_reference(rng, monkeypatch):
 def test_eps_ball_euclidean_matches_dense_reference(weight_rule, rng,
                                                     monkeypatch):
     pos = rng.normal(size=(301, 3)) * 40.0 + 7.0
-    # pairs within eps whose |x|^2 + |y|^2 - 2 x.y rounds to above eps^2
-    pos[:8] = [[-672.0006431251159, 323.27488703341896, -1482.249920374666],
-               [-678.5989629378192, 345.6876483135864, -1473.3543986110194],
-               [63070.73887962891, 36614.00339621959, 12392.9835637188],
-               [63082.74691410469, 36630.14778272326, 12407.82155187247],
-               [3620.522990569825, 189.9399597943291, 7753.284292165686],
-               [3608.501974048141, 182.7720199719427, 7732.5691817269735],
-               [-11.949565815395324, 31.903970585368054, 109.57577289371905],
-               [7.730834619084568, 41.960267072660294, 121.26135117201565]]
     ref = _dense_eps_ball_reference(pos, 25.0, "euclidean", weight_rule)
     assert ref.n_edges > 1000
-    assert all(ref.edge_index(i, i + 1) >= 0 for i in (0, 2, 4, 6))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for rows in (None, 13, 1):   # 301 is not a multiple of 13
             if rows is not None:
-                monkeypatch.setattr(graphs, "_BLOCK_PAIRS", rows * 301)
+                monkeypatch.setattr(graphs, "_BLOCK_PAIRS", rows * 301 * 3)
             _assert_same_graph(
                 epsilon_ball_graph(pos, 25.0, "euclidean", weight_rule), ref)
+
+
+def test_eps_ball_euclidean_huge_coordinates():
+    # |x|^2 overflows here; the pairwise differences do not
+    pos = np.array([[1e200, 0.0], [1e200, 1.0], [-1e200, 0.0]])
+    with pytest.warns(UserWarning, match="isolated"), \
+            np.errstate(over="ignore"):
+        g = epsilon_ball_graph(pos, 1.5, "euclidean", "unit")
+    assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("rows", [None, 7])
@@ -629,7 +628,7 @@ def test_edges_tsv_rejects_garbage(tmp_path):
         load_edges_tsv(p)
 
 
-def test_edges_tsv_writes_repr_of_each_weight(tmp_path):
+def test_edges_tsv_writes_repr_of_each_weight(tmp_path, monkeypatch):
     wts = [1e-3, 1 / 3, 2.0, 1e20, 5e-324, 0.1 + 0.2]
     edges = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]
     g = WeightedGraph.from_edges(
@@ -640,3 +639,7 @@ def test_edges_tsv_writes_repr_of_each_weight(tmp_path):
         f"{u}\t{v}\t{float(w)!r}\n" for u, v, w in zip(g.src, g.dst, g.weight))
     assert p.read_text() == expect
     assert "0.30000000000000004" in expect and "5e-324" in expect
+    # the body is written in chunks; 6 edges are not a multiple of 4
+    monkeypatch.setattr(graphs, "_TSV_CHUNK", 4)
+    save_edges_tsv(p, g)
+    assert p.read_text() == expect
