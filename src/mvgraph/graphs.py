@@ -54,11 +54,17 @@ class WeightedGraph:
                 raise DomainError("self-loops are not allowed")
             if not np.all(np.isfinite(weight)) or np.any(weight <= 0):
                 raise DomainError("edge weights must be positive and finite")
-        order = np.lexsort((dst, src))
-        src, dst, weight = src[order], dst[order], weight[order]
         keys = src * n + dst
-        if keys.size and np.any(np.diff(keys) == 0):
-            raise DomainError("duplicate directed edge")
+        if np.all(keys[1:] > keys[:-1]):
+            # already sorted by (src, dst), as the builders and edge files
+            # deliver them; the graph still never aliases the caller's array
+            weight = weight.copy()
+        else:
+            order = np.argsort(keys, kind="stable")
+            src, dst, weight, keys = (src[order], dst[order], weight[order],
+                                      keys[order])
+            if np.any(keys[1:] == keys[:-1]):
+                raise DomainError("duplicate directed edge")
         self.n_vertices = n
         self.src = src
         self.dst = dst
@@ -127,10 +133,9 @@ class WeightedGraph:
         if self._rev is None:
             rkeys = self.dst * self.n_vertices + self.src
             pos = np.searchsorted(self._keys, rkeys)
-            pos = np.minimum(pos, max(self._keys.size - 1, 0))
-            found = self._keys.size > 0
-            ok = found & (self._keys[pos] == rkeys)
-            self._rev = np.where(ok, pos, -1)
+            np.minimum(pos, self._keys.size - 1, out=pos)
+            pos[self._keys[pos] != rkeys] = -1
+            self._rev = pos
         return self._rev
 
     def isolated_vertices(self) -> np.ndarray:
@@ -219,7 +224,9 @@ def epsilon_ball_graph(positions, eps, metric="arc",
         src.append(i[keep])
         dst.append(j[keep])
         dist.append(d[keep])
+    # the block lists are freed before the graph copies the edges
     dij = np.concatenate(dist)
+    del dist
     if weight_rule == "invsq":
         if np.any(dij == 0.0):
             raise DomainError(
@@ -227,8 +234,9 @@ def epsilon_ball_graph(positions, eps, metric="arc",
         wts = 1.0 / dij ** 2
     else:
         wts = np.ones(dij.size)
-    g = WeightedGraph(n, np.concatenate(src), np.concatenate(dst), wts,
-                      symmetric=True)
+    del dij
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    g = WeightedGraph(n, src, dst, wts, symmetric=True)
     iso = g.isolated_vertices()
     if iso.size:
         warnings.warn(f"epsilon-ball graph has {iso.size} isolated vertices",

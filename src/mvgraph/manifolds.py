@@ -38,6 +38,17 @@ EIG_CLAMP = 1e-14
 
 _TINY = 1e-15
 
+# ``_eigh_sym`` hands a 3 x 3 row to LAPACK when, relative to the row's
+# largest entry, two eigenvalues lie closer than _EIGH3_GAP or an eigenvalue
+# is smaller in magnitude than _EIGH3_FLOOR.  Both were set from measured
+# error against the exact matrix log of rotated diagonal matrices: at a gap
+# of 1e-4 or more the closed form was as accurate as eigh, at 1e-5 up to 4x
+# less; below 1e-8 an eigenvalue has fewer than 8 digits from either solver.
+# Rows are taken _EIGH3_BLOCK at a time so that temporaries stay small.
+_EIGH3_GAP = 1e-4
+_EIGH3_FLOOR = 1e-8
+_EIGH3_BLOCK = 2 ** 12
+
 
 def wrap_angle(theta):
     """Map angles (radians) to the canonical interval (-pi, pi].
@@ -59,6 +70,117 @@ def _sym(a):
 def _eigh_recompose(q, w):
     """q diag(w) q^T for batched eigendecompositions."""
     return (q * w[..., None, :]) @ np.swapaxes(q, -1, -2)
+
+
+def _eigh_sym(s):
+    """``np.linalg.eigh(s)``: ascending eigenvalues and orthonormal
+    eigenvector columns of a batch of symmetric matrices (lower triangle).
+
+    3 x 3 rows are solved in closed form (``_eigh3``); the rows it cannot
+    solve to full accuracy (non-finite or zero, nearly repeated or nearly
+    zero eigenvalues) go to LAPACK, which raises ``LinAlgError`` where it
+    fails.  Other sizes call ``np.linalg.eigh`` directly.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape[-2:] != (3, 3):
+        return np.linalg.eigh(s)
+    flat = s.reshape(-1, 3, 3)
+    w = np.empty(flat.shape[:2])
+    q = np.empty(flat.shape)
+    for a in range(0, flat.shape[0], _EIGH3_BLOCK):
+        b = a + _EIGH3_BLOCK
+        w[a:b], q[a:b], slow = _eigh3(flat[a:b])
+        if slow.size:
+            w[a + slow], q[a + slow] = np.linalg.eigh(flat[a + slow])
+    return w.reshape(s.shape[:-1]), q.reshape(s.shape)
+
+
+def _eigh3(m):
+    """Closed-form eigendecomposition of a block of symmetric 3 x 3 rows,
+    on their six component arrays, and the positions of the rows it leaves
+    to LAPACK.
+
+    Each row is scaled by its largest entry.  The eigenvalues follow Smith
+    (1961), "Eigenvalues of a symmetric 3x3 matrix": with q = tr(A)/3,
+    p^2 = tr((A - qI)^2)/6 and r = det(A - qI)/(2p^3), they are
+    q + 2p cos(acos(r)/3 + 2k pi/3).  Those values decide which rows fall
+    back (Kopp 2008, arXiv:physics/0610206, hands such rows to a slower
+    solver).  Eigenvectors:
+
+    * smallest: the null vector of A - lambda I (``_null_vector``), taken
+      twice: at Smith's value, then at that vector's Rayleigh quotient.
+      Smith's value is not accurate enough, relative to the gap, on
+      ill-conditioned rows.
+    * middle: the cross product of the largest eigenvalue's null vector
+      with the smallest's.
+    * largest: the cross product of the other two, so that the columns
+      are orthonormal to rounding.
+
+    The eigenvalues returned are the Rayleigh quotients of the columns.
+    """
+    c = m.reshape(-1, 9)
+    scale = np.max(np.abs(c[:, [0, 3, 4, 6, 7, 8]]), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / scale
+        a = (c[:, 0] * inv, c[:, 4] * inv, c[:, 8] * inv,
+             c[:, 3] * inv, c[:, 6] * inv, c[:, 7] * inv)
+        a00, a11, a22, a01, a02, a12 = a
+        q = (a00 + a11 + a22) / 3.0
+        b00, b11, b22 = a00 - q, a11 - q, a22 - q
+        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                     + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+        det = (b00 * (b11 * b22 - a12 * a12) - a01 * (a01 * b22 - a12 * a02)
+               + a02 * (a01 * a12 - b11 * a02))
+        phi = np.arccos(np.clip(det / (2.0 * p * p * p), -1.0, 1.0)) / 3.0
+        l1 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+        l3 = q + 2.0 * p * np.cos(phi)
+        l2 = 3.0 * q - l1 - l3
+        slow = np.flatnonzero(
+            ~(np.minimum(l2 - l1, l3 - l2) >= _EIGH3_GAP)
+            | ~(np.minimum(np.minimum(np.abs(l1), np.abs(l2)), np.abs(l3))
+                >= _EIGH3_FLOOR))
+        v1 = _null_vector(a, _rayleigh(a, _null_vector(a, l1)))
+        v2 = _unit(_cross(_null_vector(a, l3), v1))
+        cols = (v1, v2, _cross(v1, v2))
+        w = np.stack([_rayleigh(a, u) for u in cols], axis=1)
+        v = np.empty(m.shape)
+        for k, (x, y, z) in enumerate(cols):
+            v[:, 0, k], v[:, 1, k], v[:, 2, k] = x, y, z
+        return w * scale[:, None], v, slow
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _unit(u):
+    n = 1.0 / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    return u[0] * n, u[1] * n, u[2] * n
+
+
+def _rayleigh(a, u):
+    """u^T A u for components a = (a00, a11, a22, a01, a02, a12)."""
+    a00, a11, a22, a01, a02, a12 = a
+    x, y, z = u
+    return (a00 * x * x + a11 * y * y + a22 * z * z
+            + 2.0 * (a01 * x * y + a02 * x * z + a12 * y * z))
+
+
+def _null_vector(a, lam):
+    """Unit eigenvector for a simple eigenvalue lam: the longest cross
+    product of two rows of A - lam I."""
+    a00, a11, a22, a01, a02, a12 = a
+    r0, r1, r2 = ((a00 - lam, a01, a02), (a01, a11 - lam, a12),
+                  (a02, a12, a22 - lam))
+    best = _cross(r0, r1)
+    n = best[0] * best[0] + best[1] * best[1] + best[2] * best[2]
+    for u in (_cross(r0, r2), _cross(r1, r2)):
+        un = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+        longer = un > n
+        best = tuple(np.where(longer, x, y) for x, y in zip(u, best))
+        n = np.maximum(n, un)
+    return _unit(best)
 
 
 class Manifold:
@@ -334,6 +456,13 @@ class Spd(Manifold):
       eigendecomposition per distinct source vertex plus one per undirected
       edge.
 
+    Every eigendecomposition goes through ``_eigh_sym``.  For n = 3 it is
+    a closed form (Smith's trigonometric eigenvalues, cross-product
+    eigenvectors) on the six component arrays; a matrix that is non-finite
+    or zero, or whose eigenvalues are nearly repeated or nearly zero
+    relative to its largest entry, goes to LAPACK instead (Kopp 2008).
+    Other sizes use LAPACK throughout.
+
     The manifold is a Cartan-Hadamard space, so exp/log are globally
     defined (injectivity radius infinite).
     """
@@ -365,7 +494,7 @@ class Spd(Manifold):
 
     def _roots(self, x):
         """Eigendecomposition-based x^(1/2) and x^(-1/2), eigenvalues clamped."""
-        w, q = np.linalg.eigh(_sym(np.asarray(x, dtype=np.float64)))
+        w, q = _eigh_sym(_sym(np.asarray(x, dtype=np.float64)))
         w = np.maximum(w, EIG_CLAMP)
         s = np.sqrt(w)
         return _eigh_recompose(q, s), _eigh_recompose(q, 1.0 / s)
@@ -373,13 +502,14 @@ class Spd(Manifold):
     def _log_mid(self, irt, y):
         """Log(x^-1/2 y x^-1/2) from irt = x^-1/2, plus its eigenvalue logs."""
         s = _sym(irt @ np.asarray(y, dtype=np.float64) @ irt)
-        mu, p = np.linalg.eigh(s)
+        mu, p = _eigh_sym(s)
         lmu = np.log(np.maximum(mu, EIG_CLAMP))
         return _eigh_recompose(p, lmu), lmu
 
     # -- kernel operations ---------------------------------------------
 
     def dist(self, x, y):
+        x, y = self._check_shape(x), self._check_shape(y)
         _, irt = self._roots(x)
         _, lmu = self._log_mid(irt, y)
         return np.sqrt(np.sum(lmu * lmu, axis=-1))
@@ -388,8 +518,7 @@ class Spd(Manifold):
         x = self._check_shape(x)
         v = self._check_shape(v, "tangent")
         rt, irt = self._roots(x)
-        s = _sym(irt @ v @ irt)
-        w, q = np.linalg.eigh(s)
+        w, q = _eigh_sym(_sym(irt @ v @ irt))
         return _sym(rt @ _eigh_recompose(q, np.exp(w)) @ rt)
 
     def log_and_dist(self, x, y):
@@ -426,13 +555,13 @@ class Spd(Manifold):
         v = self._check_shape(v, "tangent")
         rt, irt = self._roots(x)
         mid, _ = self._log_mid(irt, y)
-        w, q = np.linalg.eigh(_sym(0.5 * mid))
+        w, q = _eigh_sym(_sym(0.5 * mid))
         e = rt @ _eigh_recompose(q, np.exp(w)) @ irt
         return _sym(e @ v @ np.swapaxes(e, -1, -2))
 
     def inner(self, x, u, v):
         x = self._check_shape(x)
-        w, q = np.linalg.eigh(_sym(x))
+        w, q = _eigh_sym(_sym(x))
         xinv = _eigh_recompose(q, 1.0 / np.maximum(w, EIG_CLAMP))
         return np.einsum("...ij,...ji->...", xinv @ np.asarray(u), xinv @ np.asarray(v))
 

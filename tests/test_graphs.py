@@ -51,6 +51,33 @@ def test_from_edges_rejects_fractional_endpoints():
     assert g.edge_index(0, 2) == 0
 
 
+def test_sorted_and_shuffled_edges_give_identical_graphs(rng):
+    ref = random_symmetric_graph(rng, 30)
+    one_way = rng.random(ref.n_edges) < 0.3
+    for symmetric, keep in ((True, np.ones(ref.n_edges, bool)),
+                            (False, ~one_way)):
+        src, dst = ref.src[keep], ref.dst[keep]
+        w = ref.weight[keep].copy()
+        perm = rng.permutation(src.size)
+        graphs = [WeightedGraph(30, src, dst, w, symmetric=symmetric),
+                  WeightedGraph(30, src[perm], dst[perm], w[perm],
+                                symmetric=symmetric)]
+        for g in graphs:
+            for name in ("src", "dst", "weight", "indptr",
+                         "reverse_edge_index"):
+                assert np.array_equal(getattr(g, name),
+                                      getattr(graphs[0], name))
+            assert np.array_equal(g.weight, ref.weight[keep])
+        # the graph never aliases the caller's weight array
+        w[:] = 7.0
+        assert np.array_equal(graphs[0].weight, ref.weight[keep])
+    assert np.any(graphs[0].reverse_edge_index < 0)
+    # duplicates are caught in sorted and in unsorted input
+    for u, v in (([0, 1, 1], [1, 2, 2]), ([1, 0, 1], [2, 1, 2])):
+        with pytest.raises(DomainError, match="duplicate"):
+            WeightedGraph(3, u, v, [1.0, 1.0, 1.0])
+
+
 def test_reverse_edge_index(rng):
     g = random_symmetric_graph(rng, 17)
     rev = g.reverse_edge_index

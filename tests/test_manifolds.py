@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import ALL_MANIFOLDS, random_point
+import mvgraph.manifolds
 from mvgraph.errors import DomainError, InjectivityError
-from mvgraph.manifolds import (Circle, Euclidean, Spd, Sphere2, from_kind,
+from mvgraph.manifolds import (EIG_CLAMP, Circle, Euclidean, Spd, Sphere2,
+                               _eigh_recompose, _eigh_sym, from_kind,
                                wrap_angle)
 
 
@@ -207,3 +209,105 @@ def test_random_tangent_second_moment(manifold, sigma, rng):
     mean_sq = float(np.mean(manifold.norm(xs, xi) ** 2))
     expect = sigma ** 2 * manifold.intrinsic_dim
     assert abs(mean_sq - expect) < 0.03 * expect
+
+
+def test_spd_dist_checks_shapes():
+    m = Spd(3)
+    with pytest.raises(DomainError):
+        m.dist(2 * np.eye(2), np.eye(2))
+    with pytest.raises(DomainError):
+        m.dist(np.eye(3), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# closed-form 3 x 3 eigensolver against LAPACK
+# ---------------------------------------------------------------------------
+
+def _rotated(rng, lam):
+    """Random rotations of diag(lam) for each row of lam."""
+    q, _ = np.linalg.qr(rng.normal(size=lam.shape + (3,)))
+    return (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)
+
+
+def _eigh_case(name, rng, n=2000):
+    g = rng.normal(size=(n, 3, 3))
+    s = 0.5 * (g + np.swapaxes(g, -1, -2))
+    if name == "random":
+        return s
+    if name == "random-spd":
+        return _rotated(rng, np.exp(rng.normal(size=(n, 3))))
+    if name.startswith("near-isotropic"):
+        return np.eye(3) + float(name.split()[1]) * s
+    if name == "isotropic":
+        return rng.uniform(0.1, 10.0, size=(n, 1, 1)) * np.eye(3)
+    if name == "repeated-pair":
+        a, b = rng.uniform(0.5, 2.0, size=(2, n))
+        return _rotated(rng, np.stack([a, a, b], axis=1))
+    if name == "conditioned":
+        return _rotated(rng, 10.0 ** rng.uniform(-12, 4, size=(n, 3)))
+    assert name == "zero"
+    return np.zeros((4, 3, 3))
+
+
+EIGH_CASES = ["random", "random-spd", "near-isotropic 1e-2",
+              "near-isotropic 1e-4", "near-isotropic 1e-6",
+              "near-isotropic 1e-8", "isotropic", "repeated-pair",
+              "conditioned", "zero"]
+
+
+@pytest.mark.parametrize("name", EIGH_CASES)
+def test_eigh_sym_matches_eigh(name, rng):
+    a = _eigh_case(name, rng)
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    w, q = _eigh_sym(a)
+    we, qe = np.linalg.eigh(a)
+    scale = np.abs(a).max(axis=(1, 2))
+    assert np.all(np.diff(w, axis=-1) >= 0)
+    assert np.all(np.abs(w - we) <= 1e-13 * scale[:, None])
+    assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(3)).max() <= 1e-12
+    err = np.abs(_eigh_recompose(q, w) - a).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * scale)
+    # the matrix log, where it exists: either solver knows an eigenvalue lam
+    # to about eps * scale, so its log only to eps * scale / lam.
+    # Eigenvectors are not unique, so they are compared only through what
+    # they recompose.
+    spd = we[:, 0] > 0
+    log = _eigh_recompose(q, np.log(np.maximum(w, EIG_CLAMP)))
+    ref = _eigh_recompose(qe, np.log(np.maximum(we, EIG_CLAMP)))
+    err = np.abs(log - ref)[spd].max(axis=(1, 2))
+    cond = scale[spd] / we[spd, 0]
+    assert np.all(err <= 1e-12 + 1e3 * np.finfo(float).eps * cond)
+
+
+def test_eigh_sym_keeps_batch_shape(rng):
+    a = _eigh_case("random", rng, 24).reshape(2, 3, 4, 3, 3)
+    w, q = _eigh_sym(a)
+    assert w.shape == (2, 3, 4, 3) and q.shape == a.shape
+    w1, q1 = _eigh_sym(a[1, 2, 3])
+    assert np.array_equal(w1, w[1, 2, 3]) and np.array_equal(q1, q[1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigh_sym_non_finite_rows_raise(bad, rng):
+    a = _eigh_case("random-spd", rng, 10)
+    a[3] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        _eigh_sym(a)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_eigh_sym_uses_lapack_for_other_sizes(k, rng, monkeypatch):
+    m = Spd(k)
+    x, y = random_point(m, rng, 8), random_point(m, rng, 8)
+    rows = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kw):
+        rows.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(mvgraph.manifolds.np.linalg, "eigh", counting)
+    m.dist(x, y)
+    # roots of x and the mid matrices: all of them through LAPACK except
+    # for 3 x 3, where none of these well-separated spectra falls back
+    assert sum(rows) == (0 if k == 3 else 16)

@@ -500,15 +500,23 @@ def test_diverging_run_raises_divergence_error(manifold, dt):
 
 
 def test_direct_steps_raise_divergence_error():
-    # the instance above, stepped without solve: the second explicit step
-    # leaves the finite matrices
+    # the instance above, stepped without solve: the first iterate has
+    # entries near 1e258 and condition numbers near 4e18, so whether the
+    # second step ends in a failing eigensolver or in non-finite matrices
+    # is down to rounding; either is a divergence
     g = grid_graph(8, 8)
     m = Spd(3)
     f0 = VertexFunction(m, random_point(m, np.random.default_rng(0), 64))
     with np.errstate(all="ignore"):
         f1 = explicit_step(g, f0, f0, cfg(lam=0.0, dt=50.0))
-        with pytest.raises(DivergenceError, match="not finite"):
+        with pytest.raises(DivergenceError, match="step diverged"):
             explicit_step(g, f1, f0, cfg(lam=0.0, dt=50.0))
+        # two well-conditioned points and a step whose matrix exponential
+        # overflows: the new iterate is not finite by construction
+        pair = VertexFunction(m, random_point(m, np.random.default_rng(1), 2))
+        assert np.all(np.linalg.cond(pair.values) < 1e2)
+        with pytest.raises(DivergenceError, match="not finite"):
+            explicit_step(path_graph([1.0]), pair, pair, cfg(lam=0.0, dt=1e4))
         # a failing eigensolver is re-raised as a divergence too
         bad = VertexFunction(m, np.full((64, 3, 3), np.nan), validate=False)
         for step in (explicit_step, jacobi_step):
