@@ -406,6 +406,7 @@ def knn_patch_graph(f, shape, k, s, window=None) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(r"^# mvgraph-edges v1 n=(\d+) symmetric=([01])$")
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 def save_edges_tsv(path, graph: WeightedGraph):
@@ -421,7 +422,11 @@ def save_edges_tsv(path, graph: WeightedGraph):
 
 
 def load_edges_tsv(path) -> WeightedGraph:
-    """Read a graph written by save_edges_tsv."""
+    """Read a graph written by save_edges_tsv.
+
+    Blank lines are skipped.  A malformed line raises FormatError naming
+    its line in the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -429,21 +434,28 @@ def load_edges_tsv(path) -> WeightedGraph:
             raise FormatError(f"bad edge-list header: {header!r}")
         n = int(m.group(1))
         symmetric = m.group(2) == "1"
-        src, dst, wts = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"line {lineno}: expected 'u\\tv\\tw'")
-            try:
-                src.append(int(parts[0]))
-                dst.append(int(parts[1]))
-                wts.append(float(parts[2]))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
+        lines = fh.read().split("\n")
+    body = [line for line in lines if line.strip()]
     try:
-        return WeightedGraph(n, src, dst, wts, symmetric=symmetric)
+        edges = _parse_edges(body) if body else np.zeros(0, _EDGE_ROW)
+    except ValueError as err:
+        for lineno, line in enumerate(lines, start=2):
+            if line.strip():
+                try:
+                    _parse_edges([line])
+                except ValueError as exc:
+                    raise FormatError(
+                        f"line {lineno}: expected 'u\\tv\\tw' with integer "
+                        f"u and v, got {line!r}") from exc
+        raise FormatError(f"bad edge list: {err}") from err
+    try:
+        return WeightedGraph(n, edges["u"], edges["v"], edges["w"],
+                             symmetric=symmetric)
     except DomainError as exc:
         raise FormatError(f"invalid edge list: {exc}") from exc
+
+
+def _parse_edges(lines):
+    """Structured (u, v, w) rows of tab-separated edge lines."""
+    return np.loadtxt(lines, dtype=_EDGE_ROW, delimiter="\t", comments=None,
+                      ndmin=1)

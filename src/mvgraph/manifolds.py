@@ -28,6 +28,8 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -63,42 +65,146 @@ def wrap_angle(theta):
     return np.where((theta > -np.pi) & (theta <= np.pi), theta, out)
 
 
-def _sym(a):
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+# -- symmetric matrices on component arrays ---------------------------------
+#
+# The Spd kernels hold a batch of N symmetric n x n matrices as one (k, N)
+# array of its k = n(n+1)/2 distinct entries, the batch axis last, so that
+# each entry is a contiguous row: the diagonal first, then the upper triangle
+# by rows; for n = 3 the rows are (00, 11, 22, 01, 02, 12).  Products that
+# need every entry use the (n, n, N) grid of the same rows.  Arithmetic on
+# these rows runs at the speed of plain vector code, where a batched 3 x 3
+# ``matmul`` or a strided view of an (N, 3, 3) array does not.
 
 
-def _eigh_recompose(q, w):
-    """q diag(w) q^T for batched eigendecompositions."""
-    return (q * w[..., None, :]) @ np.swapaxes(q, -1, -2)
+@lru_cache(maxsize=None)
+def _layout(n):
+    """Row and column of each component of an n x n matrix, and the (n, n)
+    grid of component numbers."""
+    pairs = [(i, i) for i in range(n)] + [
+        (i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, cols = np.array(pairs, dtype=np.intp).T
+    grid = np.empty((n, n), dtype=np.intp)
+    grid[rows, cols] = grid[cols, rows] = np.arange(len(pairs))
+    return rows, cols, grid
 
 
-def _eigh_sym(s):
-    """``np.linalg.eigh(s)``: ascending eigenvalues and orthonormal
-    eigenvector columns of a batch of symmetric matrices (lower triangle).
+def _size(c):
+    """n of the n x n matrices with components c."""
+    return (isqrt(8 * c.shape[0] + 1) - 1) // 2
+
+
+def _components(x):
+    """Components (k, N) of the symmetric parts of (..., n, n) matrices,
+    N the flattened batch size."""
+    n = x.shape[-1]
+    rows, cols, _ = _layout(n)
+    flat = x.reshape(-1, n * n)
+    c = np.empty((rows.size, flat.shape[0]))
+    # block by block: a transposing copy of the whole batch is several
+    # times slower than one that stays in cache
+    for a in range(0, flat.shape[0], _EIGH3_BLOCK):
+        t = flat[a:a + _EIGH3_BLOCK].T
+        c[:, a:a + _EIGH3_BLOCK] = 0.5 * (t[rows * n + cols]
+                                          + t[cols * n + rows])
+    return c
+
+
+def _matrices(c, batch):
+    """The ``batch + (n, n)`` matrices of components c (k, N)."""
+    _, _, grid = _layout(_size(c))
+    out = np.empty((c.shape[1], grid.size))
+    for a in range(0, c.shape[1], _EIGH3_BLOCK):
+        out[a:a + _EIGH3_BLOCK] = c[grid.ravel(), a:a + _EIGH3_BLOCK].T
+    return out.reshape(batch + grid.shape)
+
+
+def _grid(c):
+    return c[_layout(_size(c))[2]]
+
+
+def _upper(g):
+    """Components of a grid that is symmetric."""
+    rows, cols, _ = _layout(g.shape[0])
+    return g[rows, cols]
+
+
+def _symmetric_part(g):
+    rows, cols, _ = _layout(g.shape[0])
+    return 0.5 * (g[rows, cols] + g[cols, rows])
+
+
+def _mul(a, b):
+    """Matrix product of two grids."""
+    return np.einsum("ik...,kj...->ij...", a, b)
+
+
+def _congruence(a, s):
+    """a s a for symmetric a and s, in components."""
+    a = _grid(a)
+    return _upper(_mul(_mul(a, _grid(s)), a))
+
+
+def _recompose(q, w):
+    """q diag(w) q^T in components, from eigenvalues w (n, N) and
+    eigenvectors q (n, n, N), q[:, j] the j-th."""
+    return _upper(_mul(q * w, q.swapaxes(0, 1)))
+
+
+def _frobenius(a, b):
+    """Frobenius inner product of symmetric matrices in components."""
+    n = _size(a)
+    ab = a * b
+    return ab[:n].sum(axis=0) + 2.0 * ab[n:].sum(axis=0)
+
+
+def _per_matrix(d, batch):
+    """Per-matrix values in the batch shape; a numpy scalar for one matrix."""
+    return d.reshape(batch)[()]
+
+
+def _blockwise(fn, *cols):
+    """``fn`` over blocks of ``_EIGH3_BLOCK`` rows (the last axis) of
+    component arrays; its output, an array or a tuple of them with rows
+    last, joined."""
+    n = cols[0].shape[-1]
+    out = None
+    for a in range(0, max(n, 1), _EIGH3_BLOCK):
+        part = fn(*(c[..., a:a + _EIGH3_BLOCK] for c in cols))
+        parts = part if isinstance(part, tuple) else (part,)
+        if out is None:
+            out = [np.empty(p.shape[:-1] + (n,)) for p in parts]
+        for o, p in zip(out, parts):
+            o[..., a:a + _EIGH3_BLOCK] = p
+    return tuple(out) if isinstance(part, tuple) else out[0]
+
+
+def _eigh_sym(c):
+    """Eigendecomposition of symmetric matrices in components c (k, ...):
+    ascending eigenvalues (n, ...) and orthonormal eigenvectors (n, n, ...),
+    the j-th in [:, j] -- ``np.linalg.eigh`` with the batch axes last.
 
     3 x 3 rows are solved in closed form (``_eigh3``); the rows it cannot
     solve to full accuracy (non-finite or zero, nearly repeated or nearly
     zero eigenvalues) go to LAPACK, which raises ``LinAlgError`` where it
     fails.  Other sizes call ``np.linalg.eigh`` directly.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape[-2:] != (3, 3):
-        return np.linalg.eigh(s)
-    flat = s.reshape(-1, 3, 3)
-    w = np.empty(flat.shape[:2])
-    q = np.empty(flat.shape)
-    for a in range(0, flat.shape[0], _EIGH3_BLOCK):
-        b = a + _EIGH3_BLOCK
-        w[a:b], q[a:b], slow = _eigh3(flat[a:b])
+    batch = c.shape[1:]
+    c = c.reshape(c.shape[0], -1)
+    if _size(c) != 3:
+        w, q = np.linalg.eigh(_matrices(c, c.shape[1:]))
+        w, q = w.T, np.moveaxis(q, 0, -1)
+    else:
+        w, q, slow = _eigh3(c)
         if slow.size:
-            w[a + slow], q[a + slow] = np.linalg.eigh(flat[a + slow])
-    return w.reshape(s.shape[:-1]), q.reshape(s.shape)
+            ws, qs = np.linalg.eigh(_matrices(c[:, slow], slow.shape))
+            w[:, slow], q[..., slow] = ws.T, np.moveaxis(qs, 0, -1)
+    return w.reshape(w.shape[:1] + batch), q.reshape(q.shape[:2] + batch)
 
 
-def _eigh3(m):
-    """Closed-form eigendecomposition of a block of symmetric 3 x 3 rows,
-    on their six component arrays, and the positions of the rows it leaves
-    to LAPACK.
+def _eigh3(c):
+    """Closed-form eigendecomposition of symmetric 3 x 3 matrices given by
+    their six component rows, as ``_eigh_sym`` returns it, and the
+    positions of the rows it leaves to LAPACK.
 
     Each row is scaled by its largest entry.  The eigenvalues follow Smith
     (1961), "Eigenvalues of a symmetric 3x3 matrix": with q = tr(A)/3,
@@ -118,12 +224,9 @@ def _eigh3(m):
 
     The eigenvalues returned are the Rayleigh quotients of the columns.
     """
-    c = m.reshape(-1, 9)
-    scale = np.max(np.abs(c[:, [0, 3, 4, 6, 7, 8]]), axis=1)
+    scale = np.max(np.abs(c), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / scale
-        a = (c[:, 0] * inv, c[:, 4] * inv, c[:, 8] * inv,
-             c[:, 3] * inv, c[:, 6] * inv, c[:, 7] * inv)
+        a = tuple(c * (1.0 / scale))
         a00, a11, a22, a01, a02, a12 = a
         q = (a00 + a11 + a22) / 3.0
         b00, b11, b22 = a00 - q, a11 - q, a22 - q
@@ -142,11 +245,8 @@ def _eigh3(m):
         v1 = _null_vector(a, _rayleigh(a, _null_vector(a, l1)))
         v2 = _unit(_cross(_null_vector(a, l3), v1))
         cols = (v1, v2, _cross(v1, v2))
-        w = np.stack([_rayleigh(a, u) for u in cols], axis=1)
-        v = np.empty(m.shape)
-        for k, (x, y, z) in enumerate(cols):
-            v[:, 0, k], v[:, 1, k], v[:, 2, k] = x, y, z
-        return w * scale[:, None], v, slow
+        w = np.array([_rayleigh(a, u) for u in cols]) * scale
+        return w, np.stack([np.array(u) for u in cols], axis=1), slow
 
 
 def _cross(u, v):
@@ -435,6 +535,30 @@ class Sphere2(Manifold):
             raise DomainError("sphere2: point not on the unit sphere")
 
 
+def _roots(c):
+    """x^1/2 and x^-1/2 in components, eigenvalues clamped."""
+    w, q = _eigh_sym(c)
+    s = np.sqrt(np.maximum(w, EIG_CLAMP))
+    return _recompose(q, s), _recompose(q, 1.0 / s)
+
+
+def _log_mid(irt, y):
+    """M = Log(x^-1/2 y x^-1/2) from irt = x^-1/2, and the logs of its
+    eigenvalues."""
+    mu, p = _eigh_sym(_congruence(irt, y))
+    lmu = np.log(np.maximum(mu, EIG_CLAMP))
+    return _recompose(p, lmu), lmu
+
+
+def _log_block(rt, irt, y):
+    """log_x y and dist(x, y) from the roots of x, and the grid x^1/2 M
+    that the reverse edge reuses."""
+    mid, lmu = _log_mid(irt, y)
+    r = _grid(rt)
+    rm = _mul(r, _grid(mid))
+    return _upper(_mul(rm, r)), np.sqrt(np.sum(lmu * lmu, axis=0)), rm
+
+
 @dataclass(frozen=True)
 class Spd(Manifold):
     """Symmetric positive definite matrices with the affine-invariant metric.
@@ -456,12 +580,17 @@ class Spd(Manifold):
       eigendecomposition per distinct source vertex plus one per undirected
       edge.
 
+    Each method converts its (..., n, n) operands once to component arrays:
+    one contiguous row per distinct entry, n(n+1)/2 rows with the batch
+    axis last (six for n = 3).  Eigenvalues and eigenvectors, f(Lambda)
+    recomposed, and the products above are sums of those rows, taken
+    ``_EIGH3_BLOCK`` rows at a time; the result is converted back once.
     Every eigendecomposition goes through ``_eigh_sym``.  For n = 3 it is
     a closed form (Smith's trigonometric eigenvalues, cross-product
-    eigenvectors) on the six component arrays; a matrix that is non-finite
-    or zero, or whose eigenvalues are nearly repeated or nearly zero
-    relative to its largest entry, goes to LAPACK instead (Kopp 2008).
-    Other sizes use LAPACK throughout.
+    eigenvectors) on the six rows; a matrix that is non-finite or zero, or
+    whose eigenvalues are nearly repeated or nearly zero relative to its
+    largest entry, goes to LAPACK instead (Kopp 2008).  Other sizes use
+    LAPACK throughout.
 
     The manifold is a Cartan-Hadamard space, so exp/log are globally
     defined (injectivity radius infinite).
@@ -492,41 +621,46 @@ class Spd(Manifold):
 
     # -- internal helpers --------------------------------------------------
 
-    def _roots(self, x):
-        """Eigendecomposition-based x^(1/2) and x^(-1/2), eigenvalues clamped."""
-        w, q = _eigh_sym(_sym(np.asarray(x, dtype=np.float64)))
-        w = np.maximum(w, EIG_CLAMP)
-        s = np.sqrt(w)
-        return _eigh_recompose(q, s), _eigh_recompose(q, 1.0 / s)
+    def _operands(self, x, *others):
+        """x^1/2, x^-1/2 and the components of ``others``, broadcast to
+        their joint batch shape and flattened, then that batch shape."""
+        batch = np.broadcast_shapes(*(a.shape[:-2] for a in (x,) + others))
 
-    def _log_mid(self, irt, y):
-        """Log(x^-1/2 y x^-1/2) from irt = x^-1/2, plus its eigenvalue logs."""
-        s = _sym(irt @ np.asarray(y, dtype=np.float64) @ irt)
-        mu, p = _eigh_sym(s)
-        lmu = np.log(np.maximum(mu, EIG_CLAMP))
-        return _eigh_recompose(p, lmu), lmu
+        def flat(c, shape):
+            c = c.reshape(c.shape[:1] + (1,) * (len(batch) - len(shape))
+                          + shape)
+            return np.broadcast_to(c, c.shape[:1] + batch).reshape(
+                c.shape[0], -1)
+        lead = x.shape[:-2]
+        rt, irt = _blockwise(_roots, _components(x))
+        return (flat(rt, lead), flat(irt, lead),
+                *(flat(_components(a), a.shape[:-2]) for a in others), batch)
 
     # -- kernel operations ---------------------------------------------
 
     def dist(self, x, y):
         x, y = self._check_shape(x), self._check_shape(y)
-        _, irt = self._roots(x)
-        _, lmu = self._log_mid(irt, y)
-        return np.sqrt(np.sum(lmu * lmu, axis=-1))
+        _, irt, y, batch = self._operands(x, y)
+        d = _blockwise(lambda irt, y: np.sqrt(np.sum(
+            _log_mid(irt, y)[1] ** 2, axis=0)), irt, y)
+        return _per_matrix(d, batch)
 
     def exp(self, x, v):
         x = self._check_shape(x)
         v = self._check_shape(v, "tangent")
-        rt, irt = self._roots(x)
-        w, q = _eigh_sym(_sym(irt @ v @ irt))
-        return _sym(rt @ _eigh_recompose(q, np.exp(w)) @ rt)
+        rt, irt, v, batch = self._operands(x, v)
+
+        def block(rt, irt, v):
+            w, q = _eigh_sym(_congruence(irt, v))
+            return _congruence(rt, _recompose(q, np.exp(w)))
+        return _matrices(_blockwise(block, rt, irt, v), batch)
 
     def log_and_dist(self, x, y):
         x = self._check_shape(x)
         y = self._check_shape(y)
-        rt, irt = self._roots(x)
-        mid, lmu = self._log_mid(irt, y)
-        return _sym(rt @ mid @ rt), np.sqrt(np.sum(lmu * lmu, axis=-1))
+        rt, irt, y, batch = self._operands(x, y)
+        logs, d = _blockwise(lambda *a: _log_block(*a)[:2], rt, irt, y)
+        return _matrices(logs, batch), _per_matrix(d, batch)
 
     def edge_log_and_dist(self, points, src, dst, rev):
         """One root eigendecomposition per distinct source vertex and one
@@ -535,35 +669,44 @@ class Spd(Manifold):
         points = self._check_shape(points)
         direct = np.flatnonzero((rev < 0) | (np.arange(src.size) < rev))
         verts, at = np.unique(src[direct], return_inverse=True)
-        rt, irt = self._roots(points[verts])
-        rt, irt = rt[at], irt[at]
-        mid, lmu = self._log_mid(irt, points[dst[direct]])
+        p = _components(points)
+        rt, irt = _blockwise(_roots, np.take(p, verts, axis=1))
         logs = np.empty((src.size,) + self.point_shape)
         d = np.empty(src.size)
-        logs[direct] = _sym(rt @ mid @ rt)
-        d[direct] = np.sqrt(np.sum(lmu * lmu, axis=-1))
-        pair = np.flatnonzero(rev[direct] >= 0)
-        back = rev[direct[pair]]
-        y = points[dst[direct[pair]]]
-        logs[back] = -_sym(y @ irt[pair] @ mid[pair] @ rt[pair])
-        d[back] = d[direct[pair]]
+        for a in range(0, direct.size, _EIGH3_BLOCK):
+            e, v = direct[a:a + _EIGH3_BLOCK], at[a:a + _EIGH3_BLOCK]
+            y, irt_e = np.take(p, dst[e], axis=1), np.take(irt, v, axis=1)
+            fwd, d[e], rm = _log_block(np.take(rt, v, axis=1), irt_e, y)
+            logs[e] = _matrices(fwd, e.shape)
+            pair = np.flatnonzero(rev[e] >= 0)
+            # y x^-1/2 M x^1/2, with M x^1/2 the transpose of x^1/2 M
+            back = _mul(_mul(_grid(y), _grid(irt_e)), rm.transpose(1, 0, 2))
+            logs[rev[e[pair]]] = -_matrices(
+                np.take(_symmetric_part(back), pair, axis=1), pair.shape)
+            d[rev[e[pair]]] = d[e[pair]]
         return logs, d
 
     def transport(self, x, y, v):
+        # e v e^T = x^1/2 E (x^-1/2 v x^-1/2) E x^1/2, E = Exp(Delta/2)
         x = self._check_shape(x)
         y = self._check_shape(y)
         v = self._check_shape(v, "tangent")
-        rt, irt = self._roots(x)
-        mid, _ = self._log_mid(irt, y)
-        w, q = _eigh_sym(_sym(0.5 * mid))
-        e = rt @ _eigh_recompose(q, np.exp(w)) @ irt
-        return _sym(e @ v @ np.swapaxes(e, -1, -2))
+        rt, irt, y, v, batch = self._operands(x, y, v)
+
+        def block(rt, irt, y, v):
+            mu, p = _eigh_sym(_congruence(irt, y))
+            half = _recompose(p, np.sqrt(np.maximum(mu, EIG_CLAMP)))
+            return _congruence(rt, _congruence(half, _congruence(irt, v)))
+        return _matrices(_blockwise(block, rt, irt, y, v), batch)
 
     def inner(self, x, u, v):
+        # trace(x^-1 u x^-1 v) = <x^-1/2 u x^-1/2, x^-1/2 v x^-1/2>_F
         x = self._check_shape(x)
-        w, q = _eigh_sym(_sym(x))
-        xinv = _eigh_recompose(q, 1.0 / np.maximum(w, EIG_CLAMP))
-        return np.einsum("...ij,...ji->...", xinv @ np.asarray(u), xinv @ np.asarray(v))
+        u = self._check_shape(u, "tangent")
+        v = self._check_shape(v, "tangent")
+        _, irt, u, v, batch = self._operands(x, u, v)
+        return _per_matrix(_blockwise(lambda irt, u, v: _frobenius(
+            _congruence(irt, u), _congruence(irt, v)), irt, u, v), batch)
 
     def random_tangent(self, x, sigma, rng):
         # s = g + g^T with g ~ N(0, (sigma/2)^2) iid gives Var(s_ii) = sigma^2
@@ -571,18 +714,17 @@ class Spd(Manifold):
         # draw is isotropic w.r.t. the affine-invariant metric at x.
         x = self._check_shape(x)
         g = rng.normal(0.0, sigma / 2.0, size=x.shape)
-        s = g + np.swapaxes(g, -1, -2)
-        rt, _ = self._roots(x)
-        return _sym(rt @ s @ rt)
+        rt, _, s, batch = self._operands(x, g + np.swapaxes(g, -1, -2))
+        return _matrices(_blockwise(_congruence, rt, s), batch)
 
     def check_point(self, x):
         x = self._check_shape(x)
         if not np.all(np.isfinite(x)):
             raise DomainError("spd: non-finite entries")
-        asym = np.max(np.abs(x - np.swapaxes(x, -1, -2)))
+        asym = np.max(np.abs(x - np.swapaxes(x, -1, -2)), initial=0.0)
         if asym > self.SYM_TOL:
             raise DomainError(f"spd: matrix not symmetric (max asymmetry {asym:.3e})")
-        w = np.linalg.eigvalsh(_sym(x))
+        w = np.linalg.eigvalsh(0.5 * (x + np.swapaxes(x, -1, -2)))
         if np.any(w <= 0.0):
             raise DomainError("spd: matrix not positive definite")
 

@@ -655,6 +655,34 @@ def test_edges_tsv_rejects_garbage(tmp_path):
         load_edges_tsv(p)
 
 
+def test_edges_tsv_skips_blank_lines(tmp_path):
+    p = tmp_path / "g.tsv"
+    p.write_text("# mvgraph-edges v1 n=3 symmetric=0\n\n0\t1\t0.5\n \t \n"
+                 "  1\t2\t0.25  \n\n")
+    g = load_edges_tsv(p)
+    assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 2]
+    assert g.weight.tolist() == [0.5, 0.25]
+
+
+@pytest.mark.parametrize("line", ["0\t1", "0\t1\t2\t3", "0\t1\tfast",
+                                  "0.5\t1\t1.0", "0\t\t1.0"])
+def test_edges_tsv_names_the_bad_line(tmp_path, line):
+    p = tmp_path / "bad.tsv"
+    p.write_text("# mvgraph-edges v1 n=3 symmetric=0\n0\t1\t1.0\n\n"
+                 f"{line}\n1\t2\t1.0\n")
+    with pytest.raises(FormatError, match="^line 4: "):
+        load_edges_tsv(p)
+
+
+def test_edges_tsv_empty_body_loads_quietly(tmp_path):
+    p = tmp_path / "empty.tsv"
+    p.write_text("# mvgraph-edges v1 n=4 symmetric=1\n\n  \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = load_edges_tsv(p)
+    assert g.n_vertices == 4 and g.n_edges == 0
+
+
 def test_edges_tsv_writes_repr_of_each_weight(tmp_path, monkeypatch):
     wts = [1e-3, 1 / 3, 2.0, 1e20, 5e-324, 0.1 + 0.2]
     edges = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]

@@ -6,10 +6,12 @@ import pytest
 
 from conftest import ALL_MANIFOLDS, random_point
 import mvgraph.manifolds
+import spd_matmul
 from mvgraph.errors import DomainError, InjectivityError
+from mvgraph.fields import VertexFunction
 from mvgraph.manifolds import (EIG_CLAMP, Circle, Euclidean, Spd, Sphere2,
-                               _eigh_recompose, _eigh_sym, from_kind,
-                               wrap_angle)
+                               _components, _eigh_sym, _matrices,
+                               from_kind, wrap_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +107,13 @@ def test_point_invariants_rejected():
         Spd(2).check_point([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
     with pytest.raises(DomainError):
         Euclidean(2).check_point([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=lambda m: m.kind)
+def test_empty_batch_is_valid(manifold):
+    empty = np.zeros((0,) + manifold.point_shape)
+    manifold.check_point(empty)
+    assert VertexFunction(manifold, empty).n_vertices == 0
 
 
 def test_descriptor_mismatch_rejected():
@@ -259,21 +268,21 @@ EIGH_CASES = ["random", "random-spd", "near-isotropic 1e-2",
 def test_eigh_sym_matches_eigh(name, rng):
     a = _eigh_case(name, rng)
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    w, q = _eigh_sym(a)
+    w, q = spd_matmul.eigh(a)
     we, qe = np.linalg.eigh(a)
     scale = np.abs(a).max(axis=(1, 2))
     assert np.all(np.diff(w, axis=-1) >= 0)
     assert np.all(np.abs(w - we) <= 1e-13 * scale[:, None])
     assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(3)).max() <= 1e-12
-    err = np.abs(_eigh_recompose(q, w) - a).max(axis=(1, 2))
+    err = np.abs(spd_matmul.recompose(q, w) - a).max(axis=(1, 2))
     assert np.all(err <= 1e-12 * scale)
     # the matrix log, where it exists: either solver knows an eigenvalue lam
     # to about eps * scale, so its log only to eps * scale / lam.
     # Eigenvectors are not unique, so they are compared only through what
     # they recompose.
     spd = we[:, 0] > 0
-    log = _eigh_recompose(q, np.log(np.maximum(w, EIG_CLAMP)))
-    ref = _eigh_recompose(qe, np.log(np.maximum(we, EIG_CLAMP)))
+    log = spd_matmul.recompose(q, np.log(np.maximum(w, EIG_CLAMP)))
+    ref = spd_matmul.recompose(qe, np.log(np.maximum(we, EIG_CLAMP)))
     err = np.abs(log - ref)[spd].max(axis=(1, 2))
     cond = scale[spd] / we[spd, 0]
     assert np.all(err <= 1e-12 + 1e3 * np.finfo(float).eps * cond)
@@ -281,10 +290,26 @@ def test_eigh_sym_matches_eigh(name, rng):
 
 def test_eigh_sym_keeps_batch_shape(rng):
     a = _eigh_case("random", rng, 24).reshape(2, 3, 4, 3, 3)
-    w, q = _eigh_sym(a)
-    assert w.shape == (2, 3, 4, 3) and q.shape == a.shape
-    w1, q1 = _eigh_sym(a[1, 2, 3])
-    assert np.array_equal(w1, w[1, 2, 3]) and np.array_equal(q1, q[1, 2, 3])
+    c = _components(a).reshape(6, 2, 3, 4)
+    w, q = _eigh_sym(c)
+    assert w.shape == (3, 2, 3, 4) and q.shape == (3, 3, 2, 3, 4)
+    w1, q1 = _eigh_sym(c[:, 1, 2, 3])
+    assert np.array_equal(w1, w[:, 1, 2, 3])
+    assert np.array_equal(q1, q[:, :, 1, 2, 3])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_components_round_trip(k, rng):
+    g = rng.normal(size=(2, 5, k, k))
+    x = g + np.swapaxes(g, -1, -2)
+    c = _components(x)
+    assert c.shape == (k * (k + 1) // 2, 10)
+    assert np.array_equal(_matrices(c, (2, 5)), x)
+    # the diagonal comes first; an asymmetric input gives its symmetric part
+    assert np.array_equal(c[:k], np.diagonal(x, axis1=-2, axis2=-1).reshape(
+        10, k).T)
+    assert np.array_equal(_components(g), _components(
+        0.5 * (g + np.swapaxes(g, -1, -2))))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -292,7 +317,7 @@ def test_eigh_sym_non_finite_rows_raise(bad, rng):
     a = _eigh_case("random-spd", rng, 10)
     a[3] = bad
     with pytest.raises(np.linalg.LinAlgError):
-        _eigh_sym(a)
+        _eigh_sym(_components(a))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
