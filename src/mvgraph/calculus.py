@@ -263,18 +263,16 @@ def symmetric_map(graph, f: VertexFunction, g: VertexFunction) -> float:
     _check_pair(graph, g)
     if g.manifold != f.manifold:
         raise DomainError("symmetric map requires a common manifold")
-    act = f.active & g.active
-    idx = np.flatnonzero(act[graph.src] & act[graph.dst])
-    if idx.size == 0:
-        return 0.0
-    src, dst = graph.src[idx], graph.dst[idx]
-    try:
-        lf = f.manifold.log(f.values[src], f.values[dst])
-        lg = g.manifold.log(g.values[src], g.values[dst])
-    except InjectivityError as err:
-        _reraise_with_edge(err, src, dst)
-    moved = f.manifold.transport(g.values[src], f.values[src], lg)
-    return float(np.sum(f.manifold.inner(f.values[src], lf, moved)))
+    # both functions, restricted to the vertices active in both
+    mask = f.mask if g.mask is None else f.active & g.mask
+    f, g = (VertexFunction(h.manifold, h.values, mask, validate=False)
+            for h in (f, g))
+    lf, lg = edge_logs(graph, f)[0], edge_logs(graph, g)[0]
+    m = f.manifold
+    return float(np.sum(_on_active_edges(
+        graph, f, lambda src, dst, sel, _: m.inner(
+            f.values[src], lf[sel],
+            m.transport(g.values[src], f.values[src], lg[sel])))))
 
 
 def vertex_norm_p(graph, f: VertexFunction, p: float) -> float:
@@ -418,19 +416,15 @@ def _energy(graph, f: VertexFunction, f0: VertexFunction, lam, p, model, d):
 
 
 def energy_aniso(graph, f: VertexFunction, f0: VertexFunction,
-                 lam: float, p: float, eps_smooth: float = 0.0) -> float:
-    """(lam/2) sum_u d(f,f0)^2 + (1/p) sum over directed edges (sqrt(w) d)^p.
-
-    The smoothing parameter is accepted for signature symmetry with the
-    operators but never enters the energy: d^p is finite for every p > 0.
-    """
+                 lam: float, p: float) -> float:
+    """(lam/2) sum_u d(f,f0)^2 + (1/p) sum over directed edges (sqrt(w) d)^p."""
     _check_pair(graph, f)
     _check_model_args(f, f0, lam, p)
     return _energy(graph, f, f0, lam, p, "aniso", _edge_dists(graph, f))
 
 
 def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
-               lam: float, p: float, eps_smooth: float = 0.0) -> float:
+               lam: float, p: float) -> float:
     """(lam/2) sum_u d(f,f0)^2 + (1/p) sum_u (sum_v w d^2)^(p/2)."""
     _check_pair(graph, f)
     _check_model_args(f, f0, lam, p)

@@ -31,6 +31,9 @@ _CACHE_PAIRS = 2 ** 15
 _UNIT_TOL = 1e-8
 # Chunk size, in edges, of one write of an edge-list file.
 _TSV_CHUNK = 2 ** 16
+# The largest vertex count whose edge keys u * n + v fit in int64,
+# isqrt(2**63 - 1).
+_MAX_VERTICES = 3_037_000_499
 
 
 class WeightedGraph:
@@ -40,6 +43,9 @@ class WeightedGraph:
         n = int(n_vertices)
         if n < 1:
             raise DomainError("graph needs at least one vertex")
+        if n > _MAX_VERTICES:
+            raise DomainError(f"{n} vertices exceed {_MAX_VERTICES}, above "
+                              "which the edge keys u * n + v overflow int64")
         src, dst = np.asarray(src).ravel(), np.asarray(dst).ravel()
         if np.any(src != np.trunc(src)) or np.any(dst != np.trunc(dst)):
             raise DomainError("edge endpoints must be whole numbers")
@@ -70,8 +76,7 @@ class WeightedGraph:
         self.dst = dst
         self.weight = weight
         self._keys = keys
-        counts = np.bincount(src, minlength=n)
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self._indptr = None
         self._rev = None
         self.symmetric = bool(symmetric)
         if self.symmetric:
@@ -97,6 +102,14 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         return self.src.size
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Offsets of each vertex's out-edges, built on first use."""
+        if self._indptr is None:
+            counts = np.bincount(self.src, minlength=self.n_vertices)
+            self._indptr = np.concatenate(([0], np.cumsum(counts)))
+        return self._indptr
 
     @property
     def out_degree(self) -> np.ndarray:
@@ -313,8 +326,7 @@ def _patch_psm_candidates(f, shape, s, window=None):
     for start in range(0, disps.size, block):
         dr, dc = np.divmod(disps[start:start + block, None, None], w)
         perms = ((rows + dr) % h * w + (cols + dc) % w).reshape(-1, n)
-        d = f.manifold.dist(
-            np.broadcast_to(vals, (len(perms),) + vals.shape), vals[perms])
+        d = f.manifold.dist(vals, vals[perms])
         a = d * d
         a *= active[None, :]
         a *= active[perms]

@@ -22,24 +22,25 @@ while ``R`` is not.  A jacobi run that meets the change test therefore ends
 with ``reason="converged"`` only if ``max ||R|| <=
 JACOBI_RESIDUAL_FACTOR * lam * stop_tol`` at that iterate, and with
 ``reason="stalled"`` otherwise.  The explicit change is ``dt * ||R||`` at a
-fixed dt, so the change test alone bounds its residual.  A sweep (in
-``solve``, or a direct ``explicit_step``/``jacobi_step``) whose new iterate
-is not finite at an active vertex, or whose linear algebra fails, raises
-``DivergenceError`` naming the sweep.
+fixed dt, so the change test alone bounds its residual.
 
-One edge pass per iterate: ``edge_logs`` runs once on the start and once
-on each sweep's result, and that pass serves as the admissibility check
-(an active edge beyond the injectivity bound raises an injectivity
-error), the next sweep's ``R``, the energy-trace entry and the final
-residual.  With ``halve_dt_on_injectivity`` a violating (explicit) sweep
-is retried with a halved dt instead.  The halving is per-sweep: the next
-sweep starts again from the configured dt; ``SolveReport.dt_trace``
-records the dt each sweep used.
+One sweep function serves ``solve``, ``explicit_step`` and ``jacobi_step``:
+it computes ``R`` and the step direction once from the current iterate's
+edge pass, takes the exponential, checks that the new iterate is finite at
+its active vertices, then runs the new iterate's edge pass.  That pass is
+the admissibility check (an active edge beyond the injectivity bound raises
+an injectivity error) and, in ``solve``, the next sweep's ``R``, the
+energy-trace entry and the final residual: one edge pass per iterate.  With
+``halve_dt_on_injectivity`` a violating explicit sweep of ``solve`` redoes
+the exponential, the check and the pass at halved dt; ``dt_trace`` records
+the dt each sweep used.  Public steps never halve.  A non-finite iterate or
+a failing eigensolver raises ``DivergenceError`` naming the sweep or step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,43 +139,53 @@ def _masked_exp(f: VertexFunction, step):
     return f.with_values(out)
 
 
-def _advance(graph, f, f0, cfg, edges, scheme):
-    """The iterate after one sweep of ``scheme`` from f and its edge pass."""
-    R, b = _residual(graph, f, f0, cfg.lam, cfg.p, cfg.model,
-                     cfg.eps_smooth, *edges)
-    if scheme == "jacobi":
-        step = -R / _expand(cfg.lam + _scatter(graph, b),
-                            f.manifold.point_shape)
-    else:
-        step = -cfg.dt * R
-    return _masked_exp(f, step)
-
-
-def _guarded(label, sweep, *args):
-    """``sweep(*args)``, which returns the new iterate or a tuple led by it.
-
-    A failing eigensolver, or a non-finite value at an active vertex of
-    the new iterate, raises DivergenceError naming ``label``.
-    """
+@contextmanager
+def _diverging(label):
+    """Quiet numpy's floating-point warnings, and raise a failing
+    eigensolver as DivergenceError naming ``label``."""
     try:
-        out = sweep(*args)
+        with np.errstate(all="ignore"):
+            yield
     except np.linalg.LinAlgError as err:
         raise DivergenceError(f"{label} diverged: {err}") from err
-    new = out[0] if isinstance(out, tuple) else out
-    vals = new.values if new.mask is None else new.values[new.mask]
-    if not np.isfinite(vals).all():
-        raise DivergenceError(f"{label} diverged: its iterate is not finite")
-    return out
 
 
-def _step(graph, f, f0, cfg, scheme):
-    """One public sweep.  Only manifolds with a finite injectivity radius
-    can leave the admissible set, so only there is the new iterate's edge
-    pass run, as the same check ``solve`` makes."""
-    new = _advance(graph, f, f0, cfg, edge_logs(graph, f), scheme)
-    if np.isfinite(f.manifold.injectivity_radius):
-        edge_logs(graph, new)
-    return new
+def _sweep(label, graph, f, f0, cfg, scheme, edges=None, halve=False):
+    """One sweep of ``scheme`` from ``f``, as ``(new, new_edges, dt)``.
+
+    ``edges`` is the edge pass of ``f``; a public step passes none, and
+    then gets ``new_edges`` only where the injectivity radius is finite
+    (None otherwise).  ``halve`` allows an explicit sweep to retry at
+    halved dt (see the module docstring).
+    """
+    check_new = edges is not None or np.isfinite(f.manifold.injectivity_radius)
+    with _diverging(label):
+        if edges is None:
+            edges = edge_logs(graph, f)
+        R, b = _residual(graph, f, f0, cfg.lam, cfg.p, cfg.model,
+                         cfg.eps_smooth, *edges)
+        if scheme == "jacobi":
+            direction = -R / _expand(cfg.lam + _scatter(graph, b),
+                                     f.manifold.point_shape)
+        else:
+            direction = -R
+        del R, b    # freed before the new edge pass, the sweep's peak
+        dt = cfg.dt
+        for _ in range(_MAX_HALVINGS):
+            new = _masked_exp(f, direction if scheme == "jacobi"
+                              else dt * direction)
+            if not np.isfinite(new.values if new.mask is None
+                               else new.values[new.mask]).all():
+                raise DivergenceError(
+                    f"{label} diverged: its iterate is not finite")
+            try:
+                return new, edge_logs(graph, new) if check_new else None, dt
+            except InjectivityError:
+                if scheme == "jacobi" or not halve:
+                    raise
+                dt *= 0.5
+    raise InjectivityError(
+        f"explicit sweep still inadmissible after {_MAX_HALVINGS} dt halvings")
 
 
 def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
@@ -184,7 +195,7 @@ def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
     Raises an injectivity error when the update leaves the admissible set.
     (Not validated against the config: ``dt = 0`` is the exact identity.)
     """
-    return _guarded("explicit step", _step, graph, f, f0, cfg, "explicit")
+    return _sweep("explicit step", graph, f, f0, cfg, "explicit")[0]
 
 
 def jacobi_step(graph, f: VertexFunction, f0: VertexFunction,
@@ -195,30 +206,7 @@ def jacobi_step(graph, f: VertexFunction, f0: VertexFunction,
     """
     if cfg.lam <= 0:
         raise ConfigError("jacobi_step requires lam > 0")
-    return _guarded("jacobi step", _step, graph, f, f0, cfg, "jacobi")
-
-
-def _sweep(graph, f, f0, cfg, edges):
-    """One sweep of the configured scheme from ``f``: the new iterate, its
-    edge pass, the dt the sweep used and the geodesic distance each active
-    vertex moved.
-
-    That pass raises an injectivity error when the new iterate leaves the
-    admissible set; with ``halve_dt_on_injectivity`` an explicit sweep is
-    then retried at halved dt.
-    """
-    dt = cfg.dt
-    for _ in range(_MAX_HALVINGS):
-        try:
-            new = _advance(graph, f, f0, replace(cfg, dt=dt), edges,
-                           cfg.scheme)
-            return new, edge_logs(graph, new), dt, f.dists_to(new)
-        except InjectivityError:
-            if cfg.scheme == "jacobi" or not cfg.halve_dt_on_injectivity:
-                raise
-            dt *= 0.5
-    raise InjectivityError(
-        f"explicit sweep still inadmissible after {_MAX_HALVINGS} dt halvings")
+    return _sweep("jacobi step", graph, f, f0, cfg, "jacobi")[0]
 
 
 def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
@@ -249,8 +237,11 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
     dts = []
     reason = "max_iters"
     for k in range(1, cfg.max_iters + 1):
-        f, edges, dt, d = _guarded(f"sweep {k}", _sweep, graph, f, f0, cfg,
-                                   edges)
+        new, edges, dt = _sweep(f"sweep {k}", graph, f, f0, cfg, cfg.scheme,
+                                edges, cfg.halve_dt_on_injectivity)
+        with _diverging(f"sweep {k}"):
+            d = f.dists_to(new)
+        f = new
         change = float(np.mean(d)) if d.size else 0.0
         changes.append(change)
         dts.append(dt)

@@ -296,6 +296,37 @@ def test_symmetric_map(rng):
     assert symmetric_map(g, fe, ge_) == pytest.approx(expect, rel=1e-12)
 
 
+def test_symmetric_map_masked_counts_edges_active_in_both(rng):
+    g = random_symmetric_graph(rng, 12)
+    e = Euclidean(2)
+    fmask = np.arange(12) % 4 != 1
+    gmask = np.arange(12) % 3 != 2
+    fv, gv = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
+    # placeholders at inactive vertices are never read
+    fv[~fmask] = np.nan
+    gv[~gmask] = np.nan
+    fe = VertexFunction(e, fv, fmask)
+    ge_ = VertexFunction(e, gv, gmask)
+    both = fmask & gmask
+    expect = 0.0
+    for k in range(g.n_edges):
+        u, v = int(g.src[k]), int(g.dst[k])
+        if both[u] and both[v]:
+            expect += np.dot(fv[v] - fv[u], gv[v] - gv[u])
+    assert expect != 0.0
+    assert symmetric_map(g, fe, ge_) == pytest.approx(expect, rel=1e-12)
+    assert symmetric_map(g, ge_, fe) == pytest.approx(expect, rel=1e-12)
+    # one masked function: its mask alone selects the edges
+    full = VertexFunction(e, np.nan_to_num(gv))
+    expect = 0.0
+    for k in range(g.n_edges):
+        u, v = int(g.src[k]), int(g.dst[k])
+        if fmask[u] and fmask[v]:
+            expect += np.dot(fv[v] - fv[u], full.values[v] - full.values[u])
+    assert symmetric_map(g, fe, full) == pytest.approx(expect, rel=1e-12)
+    assert symmetric_map(g, full, fe) == pytest.approx(expect, rel=1e-12)
+
+
 def test_vertex_norm_p(rng):
     e = Euclidean(2)
     g = random_symmetric_graph(rng, 8)

@@ -1,5 +1,7 @@
 """End-to-end command line tests, run in-process via cli.main."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,34 @@ def test_denoise_divergence_exit_3(tmp_path, capsys):
         assert run("denoise", "--in", src, "--graph", graph, "--lambda", 0,
                    "--dt", 10, "--out", tmp_path / "o.mvd") == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_denoise_oversized_vertex_count_exits_3(tmp_path, capsys):
+    # a header promising 1e14 vertices and no body: rejected before
+    # anything of that size is allocated
+    _, noisy, _ = _small_problem(tmp_path)
+    graph = tmp_path / "huge.tsv"
+    graph.write_text("# mvgraph-edges v1 n=99999999999999 symmetric=1\n")
+    assert run("denoise", "--in", noisy, "--graph", graph,
+               "--out", tmp_path / "o.mvd") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_denoise_overflowing_dt_exits_3_without_warnings(tmp_path, capsys):
+    src = tmp_path / "w.mvd"
+    run("generate", "--kind", "s2whirl", "--shape", 8, 8, "--out", src)
+    graph = tmp_path / "g.tsv"
+    run("build-graph", "--kind", "grid4", "--in", src, "--out", graph)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("denoise", "--in", src, "--graph", graph, "--lambda", 0,
+                   "--dt", 1e300, "--out", tmp_path / "o.mvd") == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep 1 diverged")
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,14 @@ def test_graph_validation():
         WeightedGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 2.0)], symmetric=True)
 
 
+def test_vertex_count_above_the_key_range_is_rejected():
+    # the edge keys u * n + v reach n^2 - 1, which must fit in int64
+    top = graphs._MAX_VERTICES
+    assert top ** 2 - 1 <= np.iinfo(np.int64).max < (top + 1) ** 2 - 1
+    with pytest.raises(DomainError, match="overflow int64"):
+        WeightedGraph(top + 1, [], [], [])
+
+
 def test_from_edges_rejects_fractional_endpoints():
     with pytest.raises(DomainError):
         WeightedGraph.from_edges(3, [(0.5, 1.9, 1.0)])

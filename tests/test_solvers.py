@@ -1,6 +1,7 @@
 """Iteration oracles: frozen single-step values, fixed points, stopping
 behaviour, masked handling, and the injectivity back-off."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -398,6 +399,39 @@ def test_explicit_step_raises_on_injectivity_violation():
         explicit_step(g, f0, f0, cfg(lam=0.0, dt=bad_dt))
 
 
+def test_explicit_step_never_halves_dt():
+    # the instance above: a public step raises even when the config
+    # allows solve to halve dt
+    c = Circle()
+    g = path_graph([1.0])
+    f0 = VertexFunction(c, np.array([[0.0], [2.0]]))
+    bad_dt = (2.0 + np.pi) / 4.0
+    with pytest.raises(InjectivityError):
+        explicit_step(g, f0, f0, cfg(lam=0.0, dt=bad_dt,
+                                     halve_dt_on_injectivity=True))
+
+
+def test_halving_retry_reuses_the_sweeps_residual(monkeypatch):
+    # the dt_trace instance below, one sweep retried once at dt/2
+    calls = []
+    residual_ = mvgraph.solvers._residual
+
+    def counting(*args):
+        calls.append(args)
+        return residual_(*args)
+
+    monkeypatch.setattr(mvgraph.solvers, "_residual", counting)
+    c = Circle()
+    g = path_graph([1.0])
+    f0 = VertexFunction(c, np.array([[0.0], [2.0]]))
+    bad_dt = (2.0 + np.pi) / 4.0
+    _, rep = solve(g, f0, cfg(lam=0.0, dt=bad_dt, max_iters=1, stop_tol=0.0,
+                              halve_dt_on_injectivity=True))
+    assert rep.dt_trace == [bad_dt / 2]
+    # the sweep's R and the residual of the returned iterate
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # one edge pass per iterate
 # ---------------------------------------------------------------------------
@@ -523,6 +557,23 @@ def test_direct_steps_raise_divergence_error():
             with pytest.raises(DivergenceError, match="step") as info:
                 step(g, bad, f0, cfg(lam=1.0, dt=1e-3))
             assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_solve_and_explicit_step_report_a_non_finite_iterate_alike():
+    # the well-conditioned SPD pair above: the exp of the first step
+    # overflows, which both paths report before any further linear algebra
+    m = Spd(3)
+    pair = VertexFunction(m, random_point(m, np.random.default_rng(1), 2))
+    c = cfg(lam=0.0, dt=1e4, max_iters=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError,
+                           match="sweep 1 diverged: its iterate is not finite"):
+            solve(path_graph([1.0]), pair, c)
+        with pytest.raises(DivergenceError, match="explicit step diverged: "
+                                                  "its iterate is not finite"):
+            explicit_step(path_graph([1.0]), pair, pair, c)
+    assert [str(w.message) for w in caught] == []
 
 
 # ---------------------------------------------------------------------------
