@@ -158,7 +158,7 @@ def directional_derivative(graph, f: VertexFunction, u: int, v: int):
 def gradient(graph, f: VertexFunction) -> TangentEdgeFunction:
     """Edge function grad f(u, v) = sqrt(w(u, v)) log_{f(u)} f(v)."""
     logs, _ = edge_logs(graph, f)
-    vals = _expand(np.sqrt(graph.weight), f.manifold.point_shape) * logs
+    vals = _expand(graph.sqrt_weight, f.manifold.point_shape) * logs
     return TangentEdgeFunction(graph, f, vals)
 
 
@@ -170,7 +170,7 @@ def _div_terms(graph, f: VertexFunction, H: TangentEdgeFunction):
 
     def op(src, dst, sel, rev):
         h = H.values[sel]
-        sw = _expand(np.sqrt(graph.weight[sel]), ps)
+        sw = _expand(graph.sqrt_weight[sel], ps)
         t = -sw * h
         j = np.flatnonzero(rev >= 0)
         r = rev[j]
@@ -245,7 +245,7 @@ def grad_div_identity(graph, f: VertexFunction, H: TangentEdgeFunction):
     if np.any(graph.reverse_edge_index < 0):
         raise DomainError("the identity requires a symmetric edge set")
     logs, _ = edge_logs(graph, f)
-    grad = _expand(np.sqrt(graph.weight), f.manifold.point_shape) * logs
+    grad = _expand(graph.sqrt_weight, f.manifold.point_shape) * logs
     lhs = float(np.sum(_edge_inners(graph, f, grad, H.values)))
     rhs = -float(np.sum(_edge_inners(graph, f, logs,
                                      _div_terms(graph, f, H))))
@@ -302,6 +302,9 @@ def _smoothed_power(d, p, eps_smooth):
     if p > 2:
         return d ** (p - 2.0)
     base = d + eps_smooth
+    if np.min(base, initial=np.inf) > 0:
+        # always so when eps_smooth > 0
+        return base ** (p - 2.0)
     out = np.zeros_like(base)
     pos = base > 0
     out[pos] = base[pos] ** (p - 2.0)
@@ -323,7 +326,7 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
     """
     w = graph.weight
     if model == "aniso":
-        b = np.sqrt(w) ** p * _smoothed_power(d, p, eps_smooth)
+        b = graph.sqrt_weight ** p * _smoothed_power(d, p, eps_smooth)
     elif model == "iso":
         S = _scatter(graph, w * d * d)
         alpha = _smoothed_power(np.sqrt(S), p, eps_smooth)
@@ -406,11 +409,10 @@ def _energy(graph, f: VertexFunction, f0: VertexFunction, lam, p, model, d):
     The regularizer is ``(1/p) sum over directed edges (sqrt(w) d)^p``
     (aniso) or ``(1/p) sum_u (sum_v w d^2)^(p/2)`` (iso).
     """
-    w = graph.weight
     if model == "aniso":
-        reg = np.sum((np.sqrt(w) * d) ** p) / p
+        reg = np.sum((graph.sqrt_weight * d) ** p) / p
     else:
-        reg = np.sum(_scatter(graph, w * d * d) ** (p / 2.0)) / p
+        reg = np.sum(_scatter(graph, graph.weight * d * d) ** (p / 2.0)) / p
     d0 = f.dists_to(f0)
     return float(0.5 * lam * np.sum(d0 * d0) + reg)
 

@@ -72,6 +72,8 @@ class VertexFunction:
         if other.n_vertices != self.n_vertices:
             raise DomainError(f"functions with different vertex counts: "
                               f"{self.n_vertices} vs {other.n_vertices}")
+        if self.mask is None and other.mask is None:
+            return self.manifold.dist(self.values, other.values)
         act = self.active & other.active
         return self.manifold.dist(self.values[act], other.values[act])
 

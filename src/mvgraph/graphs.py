@@ -77,6 +77,7 @@ class WeightedGraph:
         self.weight = weight
         self._keys = keys
         self._indptr = None
+        self._sqrt_weight = None
         self._rev = None
         self.symmetric = bool(symmetric)
         if self.symmetric:
@@ -110,6 +111,13 @@ class WeightedGraph:
             counts = np.bincount(self.src, minlength=self.n_vertices)
             self._indptr = np.concatenate(([0], np.cumsum(counts)))
         return self._indptr
+
+    @property
+    def sqrt_weight(self) -> np.ndarray:
+        """``sqrt(weight)`` per edge, computed on first use."""
+        if self._sqrt_weight is None:
+            self._sqrt_weight = np.sqrt(self.weight)
+        return self._sqrt_weight
 
     @property
     def out_degree(self) -> np.ndarray:
@@ -439,14 +447,17 @@ def load_edges_tsv(path) -> WeightedGraph:
     Blank lines are skipped.  A malformed line raises FormatError naming
     its line in the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _HEADER_RE.match(header)
-        if not m:
-            raise FormatError(f"bad edge-list header: {header!r}")
-        n = int(m.group(1))
-        symmetric = m.group(2) == "1"
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            m = _HEADER_RE.match(header)
+            if not m:
+                raise FormatError(f"bad edge-list header: {header!r}")
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"edge list is not UTF-8 text: {err}") from err
+    n = int(m.group(1))
+    symmetric = m.group(2) == "1"
     body = [line for line in lines if line.strip()]
     try:
         edges = _parse_edges(body) if body else np.zeros(0, _EDGE_ROW)

@@ -57,12 +57,24 @@ def wrap_angle(theta):
 
     Angles already in the interval pass through unchanged (no round-trip
     through modular arithmetic), so e.g. a zero-tangent exponential is an
-    exact identity.
+    exact identity.  The result is a new array.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    out = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
-    out = np.where(out == -np.pi, np.pi, out)
-    return np.where((theta > -np.pi) & (theta <= np.pi), theta, out)
+    return _wrap_in_place(np.array(theta, dtype=np.float64, order="C"))
+
+
+def _wrap_in_place(a):
+    """``wrap_angle`` of ``a``, a float array no caller shares, written into
+    ``a`` (or into a contiguous copy, which is returned).  Only the entries
+    outside (-pi, pi] are read again, so the cost follows their number."""
+    if not (isinstance(a, np.ndarray) and a.flags.c_contiguous):
+        a = np.array(a, dtype=np.float64, order="C")
+    flat = a.reshape(-1)
+    bad = np.flatnonzero(~((flat > -np.pi) & (flat <= np.pi)))
+    if bad.size:
+        t = np.mod(flat[bad] + np.pi, 2.0 * np.pi) - np.pi
+        t[t == -np.pi] = np.pi
+        flat[bad] = t
+    return a
 
 
 # -- symmetric matrices on component arrays ---------------------------------
@@ -318,7 +330,8 @@ class Manifold:
         edges with a common source, or between an edge and its reverse,
         override this.
         """
-        return self.log_and_dist(points[src], points[dst])
+        return self.log_and_dist(np.take(points, src, axis=0),
+                                 np.take(points, dst, axis=0))
 
     def transport(self, x, y, v):
         raise NotImplementedError
@@ -342,12 +355,14 @@ class Manifold:
     def _check_injective(self, d):
         """Raise InjectivityError, naming the first offending batch row,
         where a distance ``d`` lies within ``ANTIPODAL_MARGIN`` of the
-        injectivity radius (``log`` is undefined there)."""
-        bad = d > self.injectivity_radius - ANTIPODAL_MARGIN
-        if np.any(bad):
+        injectivity radius (``log`` is undefined there).  NaN distances
+        are not compared."""
+        bound = self.injectivity_radius - ANTIPODAL_MARGIN
+        d = np.ravel(d)
+        if d.size and np.fmax.reduce(d) > bound:
             raise InjectivityError(
                 f"{self.kind}: log undefined for (numerically) antipodal pair",
-                vertex=int(np.argmax(bad)))
+                vertex=int(np.argmax(d > bound)))
 
     def _check_shape(self, arr, what="point"):
         arr = np.asarray(arr, dtype=np.float64)
@@ -424,14 +439,15 @@ class Circle(Manifold):
 
     def dist(self, x, y):
         x, y = self._check_shape(x), self._check_shape(y)
-        return np.abs(wrap_angle(y - x))[..., 0]
+        d = _wrap_in_place(y - x)
+        return np.abs(d, out=d)[..., 0]
 
     def exp(self, x, v):
-        return wrap_angle(np.asarray(x, dtype=np.float64) + v)
+        return _wrap_in_place(np.asarray(x, dtype=np.float64) + v)
 
     def log_and_dist(self, x, y):
         x, y = self._check_shape(x), self._check_shape(y)
-        v = wrap_angle(y - x)
+        v = _wrap_in_place(y - x)
         d = np.abs(v)[..., 0]
         self._check_injective(d)
         return v, d
