@@ -31,8 +31,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InjectivityError
-from .fields import (TangentEdgeFunction, TangentVertexField, VertexFunction,
-                     active_edge_mask)
+from .fields import TangentEdgeFunction, TangentVertexField, VertexFunction
 
 EPS_SMOOTH_DEFAULT = 1e-7
 
@@ -79,28 +78,32 @@ def _reraise_with_edge(err: InjectivityError, src, dst):
         "the log map is undefined there", vertex=u, neighbor=v) from None
 
 
-def _on_active_edges(graph, f: VertexFunction, op):
-    """Evaluate ``op(src, dst, sel, rev)`` on the active edges only.
+def _on_active_edges(graph, f: VertexFunction, op, edges=slice(None)):
+    """Evaluate ``op(src, dst, sel, rev)`` on the active edges among
+    ``edges`` (a slice of the edge list; all of it by default).
 
-    ``src``/``dst`` are the endpoints of the active edges, ``sel`` selects
-    their rows from per-edge arrays and ``rev`` is the reverse edge index
-    among them (the reverse of an active edge is active; -1 when absent).
-    Each array ``op`` returns (one, or a tuple) is spread over all edges
-    with zeros on inactive edges.
+    An edge is active when both its endpoints are.  ``src``/``dst`` are the
+    endpoints of the active edges, ``sel`` selects their rows from per-edge
+    arrays and ``rev`` is the reverse edge index among them (the reverse of
+    an active edge is active; -1 when absent), or None for a part of the
+    edge list.  Each array ``op`` returns (one, or a tuple) is spread over
+    ``edges`` with zeros on inactive edges.
     """
-    ae = active_edge_mask(graph, f)
-    rev = graph.reverse_edge_index
-    if ae is None:
-        return op(graph.src, graph.dst, slice(None), rev)
-    idx = np.flatnonzero(ae)
-    pos = np.full(graph.n_edges, -1)
-    pos[idx] = np.arange(idx.size)
-    rev = np.where(rev[idx] >= 0, pos[rev[idx]], -1)
-    res = op(graph.src[idx], graph.dst[idx], idx, rev)
+    src, dst = graph.src[edges], graph.dst[edges]
+    rev = graph.reverse_edge_index if edges == slice(None) else None
+    if f.mask is None:
+        return op(src, dst, edges, rev)
+    keep = np.flatnonzero(f.mask[src] & f.mask[dst])
+    idx = keep + (edges.start or 0)
+    if rev is not None:
+        pos = np.full(graph.n_edges, -1)
+        pos[idx] = np.arange(idx.size)
+        rev = np.where(rev[idx] >= 0, pos[rev[idx]], -1)
+    res = op(src[keep], dst[keep], idx, rev)
     outs = []
     for r in res if isinstance(res, tuple) else (res,):
-        full = np.zeros((graph.n_edges,) + r.shape[1:])
-        full[idx] = r
+        full = np.zeros((src.size,) + r.shape[1:])
+        full[keep] = r
         outs.append(full)
     return tuple(outs) if isinstance(res, tuple) else outs[0]
 
@@ -149,10 +152,11 @@ def directional_derivative(graph, f: VertexFunction, u: int, v: int):
     """
     _check_pair(graph, f)
     e = graph.edge_index(u, v)
-    if e < 0 or not (f.active[u] and f.active[v]):
+    if e < 0:
         return np.zeros(f.manifold.point_shape)
-    lg = f.manifold.log(f.values[u], f.values[v])
-    return np.sqrt(graph.weight[e]) * lg
+    lg = _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.log(
+        f.values[src], f.values[dst]), slice(e, e + 1))
+    return np.sqrt(graph.weight[e]) * lg[0]
 
 
 def gradient(graph, f: VertexFunction) -> TangentEdgeFunction:
@@ -221,14 +225,8 @@ def local_variation(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("variation exponent must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    out = graph.out_edges(u)
-    sl = np.arange(out.start, out.stop)
-    ae = active_edge_mask(graph, f)
-    if ae is not None:
-        sl = sl[ae[sl]]
-    if sl.size == 0:
-        return 0.0
-    norms = f.manifold.norm(f.values[graph.src[sl]], H.values[sl])
+    norms = _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.norm(
+        f.values[src], H.values[sel]), graph.out_edges(u))
     return float(np.sum(norms ** q) ** (1.0 / q))
 
 
@@ -264,7 +262,7 @@ def symmetric_map(graph, f: VertexFunction, g: VertexFunction) -> float:
     if g.manifold != f.manifold:
         raise DomainError("symmetric map requires a common manifold")
     # both functions, restricted to the vertices active in both
-    mask = f.mask if g.mask is None else f.active & g.mask
+    mask = f._joint_mask(g)
     f, g = (VertexFunction(h.manifold, h.values, mask, validate=False)
             for h in (f, g))
     lf, lg = edge_logs(graph, f)[0], edge_logs(graph, g)[0]
@@ -325,18 +323,18 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
     The singular factors are smoothed for p < 2 (see module docstring).
     """
     w = graph.weight
-    if model == "aniso":
-        b = graph.sqrt_weight ** p * _smoothed_power(d, p, eps_smooth)
-    elif model == "iso":
+    if model == "iso":
         S = _scatter(graph, w * d * d)
         alpha = _smoothed_power(np.sqrt(S), p, eps_smooth)
-        b = 0.5 * w * (alpha[graph.src] + alpha[graph.dst])
-    else:
+    elif model != "aniso":
         raise DomainError(f"unknown model {model!r}")
-    ae = active_edge_mask(graph, f)
-    if ae is not None:
-        b = np.where(ae, b, 0.0)
-    return b
+
+    def op(src, dst, sel, _):
+        if model == "aniso":
+            return (graph.sqrt_weight[sel] ** p
+                    * _smoothed_power(d[sel], p, eps_smooth))
+        return 0.5 * w[sel] * (alpha[src] + alpha[dst])
+    return _on_active_edges(graph, f, op)
 
 
 def _residual(graph, f: VertexFunction, f0, lam, p, model, eps_smooth,
@@ -435,19 +433,13 @@ def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
 
 def _data_logs(f: VertexFunction, f0: VertexFunction):
     """log_{f(u)} f0(u) on jointly active vertices, zeros elsewhere."""
-    act = f.active & f0.active
-    out = np.zeros_like(f.values)
-    idx = np.flatnonzero(act)
-    if idx.size:
-        try:
-            out[idx] = f.manifold.log(f.values[idx], f0.values[idx])
-        except InjectivityError as err:
-            i = err.vertex
-            u = int(idx[i]) if i is not None and i < idx.size else -1
-            raise InjectivityError(
-                f"fidelity term undefined at vertex {u}: the iterate and "
-                "the datum are (numerically) antipodal", vertex=u) from None
-    return out
+    try:
+        return f._on_active(f.manifold.log, f0.values, other=f0)
+    except InjectivityError as err:
+        u = -1 if err.vertex is None else err.vertex
+        raise InjectivityError(
+            f"fidelity term undefined at vertex {u}: the iterate and "
+            "the datum are (numerically) antipodal", vertex=u) from None
 
 
 def residual(graph, f: VertexFunction, f0: VertexFunction, lam: float,

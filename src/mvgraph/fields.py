@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InjectivityError
 from .manifolds import Manifold
 
 
@@ -72,17 +72,46 @@ class VertexFunction:
         if other.n_vertices != self.n_vertices:
             raise DomainError(f"functions with different vertex counts: "
                               f"{self.n_vertices} vs {other.n_vertices}")
-        if self.mask is None and other.mask is None:
+        mask = self._joint_mask(other)
+        if mask is None:
             return self.manifold.dist(self.values, other.values)
-        act = self.active & other.active
-        return self.manifold.dist(self.values[act], other.values[act])
+        return self.manifold.dist(self.values[mask], other.values[mask])
+
+    def _joint_mask(self, other):
+        """Mask of the vertices active in both functions (None: all are)."""
+        if self.mask is None or other.mask is None:
+            return other.mask if self.mask is None else self.mask
+        return self.mask & other.mask
+
+    def _on_active(self, op, *arrays, other=None, fill=None):
+        """``op(values, *arrays)`` on the active vertices only.
+
+        The vertices are those active here (and in ``other``, when given);
+        ``arrays`` hold one row per vertex.  The rows ``op`` returns are
+        spread over all vertices with zero rows elsewhere, or the rows of
+        ``fill``.  An InjectivityError's ``vertex`` is renumbered to the
+        full vertex list.  Unmasked, ``op`` runs on the full arrays and its
+        result is returned as it is.
+        """
+        mask = self.mask if other is None else self._joint_mask(other)
+        if mask is None:
+            return op(self.values, *arrays)
+        idx = np.flatnonzero(mask)
+        try:
+            res = op(self.values[idx], *(a[idx] for a in arrays))
+        except InjectivityError as err:
+            if err.vertex is not None:
+                err.vertex = int(idx[err.vertex])
+            raise
+        out = (np.zeros((self.n_vertices,) + res.shape[1:], res.dtype)
+               if fill is None else fill.copy())
+        out[idx] = res
+        return out
 
     def check_points(self):
         """Validate the manifold invariants on all active vertices."""
-        if self.mask is None:
-            self.manifold.check_point(self.values)
-        elif self.mask.any():
-            self.manifold.check_point(self.values[self.mask])
+        self.manifold.check_point(
+            self.values if self.mask is None else self.values[self.mask])
 
     # -- derivation ------------------------------------------------------
 
@@ -117,11 +146,8 @@ class TangentVertexField:
 
     def max_norm(self) -> float:
         """Largest norm over the active vertices (0 when none is active)."""
-        act = self.base.active
-        if not act.any():
-            return 0.0
-        return float(self.manifold.norm(self.base.values[act],
-                                        self.values[act]).max())
+        norms = self.base._on_active(self.manifold.norm, self.values)
+        return float(np.max(norms, initial=0.0))
 
 
 @dataclass(eq=False)
@@ -143,11 +169,3 @@ class TangentEdgeFunction:
     @property
     def manifold(self) -> Manifold:
         return self.base.manifold
-
-
-def active_edge_mask(graph, f: VertexFunction):
-    """Edges whose both endpoints are active, or None when all are."""
-    if f.mask is None:
-        return None
-    return f.mask[graph.src] & f.mask[graph.dst]
-

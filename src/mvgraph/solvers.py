@@ -127,18 +127,6 @@ class SolveReport:
     reason: str = "max_iters"
 
 
-def _masked_exp(f: VertexFunction, step):
-    """Exponential update on active vertices; inactive rows are copied."""
-    m = f.manifold
-    if f.mask is None:
-        return f.with_values(m.exp(f.values, step))
-    out = f.values.copy()
-    idx = np.flatnonzero(f.mask)
-    if idx.size:
-        out[idx] = m.exp(f.values[idx], step[idx])
-    return f.with_values(out)
-
-
 @contextmanager
 def _diverging(label):
     """Quiet numpy's floating-point warnings, and raise a failing
@@ -159,6 +147,13 @@ def _sweep(label, graph, f, f0, cfg, scheme, edges=None, halve=False):
     halved dt (see the module docstring).
     """
     check_new = edges is not None or np.isfinite(f.manifold.injectivity_radius)
+
+    def finite_exp(x, v):
+        y = f.manifold.exp(x, v)
+        if np.isfinite(y).all():
+            return y
+        raise DivergenceError(f"{label} diverged: its iterate is not finite")
+
     with _diverging(label):
         if edges is None:
             edges = edge_logs(graph, f)
@@ -172,12 +167,8 @@ def _sweep(label, graph, f, f0, cfg, scheme, edges=None, halve=False):
         del R, b    # freed before the new edge pass, the sweep's peak
         dt = cfg.dt
         for _ in range(_MAX_HALVINGS):
-            new = _masked_exp(f, direction if scheme == "jacobi"
-                              else dt * direction)
-            if not np.isfinite(new.values if new.mask is None
-                               else new.values[new.mask]).all():
-                raise DivergenceError(
-                    f"{label} diverged: its iterate is not finite")
+            step = direction if scheme == "jacobi" else dt * direction
+            new = f.with_values(f._on_active(finite_exp, step, fill=f.values))
             try:
                 return new, edge_logs(graph, new) if check_new else None, dt
             except InjectivityError:

@@ -67,13 +67,10 @@ def add_noise(f: VertexFunction, spec: NoiseSpec) -> VertexFunction:
     if spec.sigma == 0:
         return f.copy()
     rng = np.random.default_rng(spec.rng_seed)
-    out = f.values.copy()
-    idx = np.flatnonzero(f.active)
-    if idx.size:
-        xi = f.manifold.random_tangent(f.values[idx], spec.sigma, rng)
-        out[idx] = f.manifold.exp(f.values[idx], xi)
-    return VertexFunction(f.manifold, out,
-                          None if f.mask is None else f.mask.copy(),
+    m = f.manifold
+    out = f._on_active(lambda x: m.exp(x, m.random_tangent(x, spec.sigma, rng)),
+                       fill=f.values)
+    return VertexFunction(m, out, None if f.mask is None else f.mask.copy(),
                           validate=False)
 
 
