@@ -7,7 +7,7 @@ pipeline.  Every command is deterministic given its seeds, so re-running a
 pipeline reproduces its printed numbers exactly.
 
 Exit codes: 0 success; 2 usage/configuration problems (including argparse
-errors); 3 numerical/domain/file-format failures.
+errors); 3 numerical/domain/file-format failures and running out of memory.
 """
 
 from __future__ import annotations
@@ -279,6 +279,10 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -458,19 +458,8 @@ def load_edges_tsv(path) -> WeightedGraph:
         raise FormatError(f"edge list is not UTF-8 text: {err}") from err
     n = int(m.group(1))
     symmetric = m.group(2) == "1"
-    body = [line for line in lines if line.strip()]
-    try:
-        edges = _parse_edges(body) if body else np.zeros(0, _EDGE_ROW)
-    except ValueError as err:
-        for lineno, line in enumerate(lines, start=2):
-            if line.strip():
-                try:
-                    _parse_edges([line])
-                except ValueError as exc:
-                    raise FormatError(
-                        f"line {lineno}: expected 'u\\tv\\tw' with integer "
-                        f"u and v, got {line!r}") from exc
-        raise FormatError(f"bad edge list: {err}") from err
+    edges = _parse_rows(enumerate(lines, start=2), _EDGE_ROW,
+                        "'u\\tv\\tw' with integer u and v")
     try:
         return WeightedGraph(n, edges["u"], edges["v"], edges["w"],
                              symmetric=symmetric)
@@ -478,7 +467,23 @@ def load_edges_tsv(path) -> WeightedGraph:
         raise FormatError(f"invalid edge list: {exc}") from exc
 
 
-def _parse_edges(lines):
-    """Structured (u, v, w) rows of tab-separated edge lines."""
-    return np.loadtxt(lines, dtype=_EDGE_ROW, delimiter="\t", comments=None,
-                      ndmin=1)
+def _parse_rows(numbered, dtype, expect):
+    """Rows of ``dtype`` from the non-blank lines of ``(lineno, line)``
+    pairs, tab-separated, in one ``np.loadtxt`` call.
+
+    A malformed line raises FormatError naming its line and ``expect``.
+    """
+    numbered = [(k, line) for k, line in numbered if line.strip()]
+    if not numbered:
+        return np.zeros(0, dtype)
+    kw = dict(dtype=dtype, delimiter="\t", comments=None, ndmin=1)
+    try:
+        return np.loadtxt([line for _, line in numbered], **kw)
+    except ValueError as err:
+        for lineno, line in numbered:
+            try:
+                np.loadtxt([line], **kw)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: expected {expect}, "
+                                  f"got {line!r}") from exc
+        raise FormatError(f"malformed rows: {err}") from err

@@ -25,9 +25,11 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
 from .fields import VertexFunction
+from .graphs import _parse_rows
 from .manifolds import Manifold, Spd, from_kind
 
 _KINDS = ("euclidean", "circle", "sphere2", "spd")
+_POSITION_ROW = np.dtype([("idx", np.int64), ("xyz", np.float64, 3)])
 
 
 @dataclass
@@ -165,20 +167,31 @@ def save_positions_tsv(path, positions):
 
 
 def load_positions_tsv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (s.strip() for s in fh) if ln]
-    if not lines or lines[0].split("\t") != ["idx", "x", "y", "z"]:
+    """Read an (n, 3) array written by save_positions_tsv.
+
+    Blank lines are skipped.  A malformed line, or an ``idx`` column that
+    does not count 0, 1, ..., raises FormatError naming its line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise FormatError(f"line {lineno}: not UTF-8 text ({err.reason} "
+                          f"at byte {err.start})") from err
+    numbered = [(k, ln.strip()) for k, ln in enumerate(lines, start=1)
+                if ln.strip()]
+    if not numbered or numbered[0][1].split("\t") != ["idx", "x", "y", "z"]:
         raise FormatError("positions file must start with 'idx\\tx\\ty\\tz'")
-    out = np.empty((len(lines) - 1, 3))
-    for k, ln in enumerate(lines[1:]):
-        parts = ln.split("\t")
-        try:
-            if len(parts) != 4 or int(parts[0]) != k:
-                raise ValueError(f"bad row {k}: {ln!r}")
-            out[k] = [float(p) for p in parts[1:]]
-        except ValueError as err:
-            raise FormatError(f"unparseable positions row: {err}") from err
-    return out
+    rows = _parse_rows(numbered[1:], _POSITION_ROW,
+                       "'idx\\tx\\ty\\tz' with an integer idx")
+    bad = np.flatnonzero(rows["idx"] != np.arange(rows.size))
+    if bad.size:
+        lineno, line = numbered[1 + bad[0]]
+        raise FormatError(f"line {lineno}: expected idx {bad[0]}, "
+                          f"got {line!r}")
+    return rows["xyz"].copy()
 
 
 # ---------------------------------------------------------------------------

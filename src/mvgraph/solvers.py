@@ -91,6 +91,9 @@ class SolverConfig:
             raise ConfigError("lam must be non-negative")
         if self.eps_smooth < 0:
             raise ConfigError("eps_smooth must be non-negative")
+        if not float(self.max_iters).is_integer():     # also nan and inf
+            raise ConfigError(f"max_iters must be a whole number, "
+                              f"got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if self.stop_tol < 0:
@@ -227,7 +230,7 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
     changes = []
     dts = []
     reason = "max_iters"
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, int(cfg.max_iters) + 1):
         new, edges, dt = _sweep(f"sweep {k}", graph, f, f0, cfg, cfg.scheme,
                                 edges, cfg.halve_dt_on_injectivity)
         with _diverging(f"sweep {k}"):

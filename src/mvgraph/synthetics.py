@@ -51,6 +51,10 @@ class NoiseSpec:
                               f"got {self.kind!r}")
         if not 0 <= self.sigma < np.inf:
             raise ConfigError("sigma must be finite and non-negative")
+        if (not isinstance(self.rng_seed, (int, np.integer))
+                or self.rng_seed < 0):
+            raise ConfigError(f"rng_seed must be a non-negative integer, "
+                              f"got {self.rng_seed!r}")
 
 
 def add_noise(f: VertexFunction, spec: NoiseSpec) -> VertexFunction:

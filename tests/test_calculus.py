@@ -217,6 +217,29 @@ def test_local_variation(rng):
     assert local_variation(g, f, zero, u, 2) == 0.0
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0, 0.5])
+def test_local_variation_masked_loop_reference(rng, q):
+    # NaN placeholders at inactive vertices: any edge that touched one
+    # would make the variation NaN
+    c = Circle()
+    n = 12
+    g = random_symmetric_graph(rng, n, extra=40)
+    mask = rng.random(n) < 0.6
+    mask[[0, 1]] = [True, False]
+    vals = clustered_vertex_function(c, rng, n).values.copy()
+    vals[~mask] = np.nan
+    f = VertexFunction(c, vals, mask)
+    H = TangentEdgeFunction(g, f, rng.normal(size=(g.n_edges, 1)))
+    for u in range(n):
+        norms = [abs(H.values[e, 0]) for e in range(g.n_edges)
+                 if g.src[e] == u and mask[u] and mask[g.dst[e]]]
+        expect = sum(x ** q for x in norms) ** (1.0 / q)
+        got = local_variation(g, f, H, u, q)
+        assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
+        if not mask[u]:
+            assert got == 0.0
+
+
 def test_vertex_queries_reject_out_of_range_vertices(rng):
     # unchecked, (0, 6) and vertex 9 ended in a raw IndexError and vertex -1
     # gave a variation of 0.0
@@ -649,6 +672,20 @@ def test_check_admissible(rng):
     bad = VertexFunction(c, np.array([[0.0], [np.pi]]))
     with pytest.raises(InjectivityError):
         edge_logs(g, bad)
+
+
+def test_fidelity_injectivity_error_names_the_original_vertex():
+    # vertices 0 and 2 are masked out, so the antipodal pair at vertex 3 is
+    # row 1 of the active rows; the error must name vertex 3
+    c = Circle()
+    g = path_graph([1.0, 1.0, 1.0, 1.0])
+    mask = np.array([False, True, False, True, True])
+    f = VertexFunction(c, np.array([[9.0], [0.1], [9.0], [0.5], [0.2]]), mask)
+    f0 = VertexFunction(c, np.array([[0.0], [0.1], [0.0], [0.5 - np.pi],
+                                     [0.2]]), mask)
+    with pytest.raises(InjectivityError, match="at vertex 3:") as exc:
+        residual(g, f, f0, lam=1.0, p=2.0)
+    assert exc.value.vertex == 3
 
 
 def test_quasi_norm_regime_runs(rng):

@@ -109,6 +109,18 @@ def test_noise_non_finite_sigma_exits_2(tmp_path, sigma):
     assert not out.exists()
 
 
+def test_noise_negative_seed_exits_2(tmp_path, capsys):
+    clean = tmp_path / "c.mvd"
+    run("generate", "--kind", "phase", "--shape", 8, 8, "--out", clean)
+    out = tmp_path / "n.mvd"
+    capsys.readouterr()
+    assert run("noise", "--in", clean, "--sigma", 0.1, "--seed", -1,
+               "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rng_seed")
+    assert not out.exists()
+
+
 def test_eval_self_is_zero(tmp_path, capsys):
     clean = tmp_path / "c.mvd"
     run("generate", "--kind", "phase", "--shape", 16, 16, "--out", clean)
@@ -393,6 +405,52 @@ def test_export_ply_circle_exits_2(tmp_path):
     run("generate", "--kind", "phase", "--shape", 8, 8, "--out", clean)
     assert run("export", "--in", clean, "--format", "ply",
                "--out", tmp_path / "c.ply") == 2
+
+
+def _positions_case(tmp_path, damage):
+    """A 16-point spd-sphere input and its positions file, damaged."""
+    clean = tmp_path / "c.mvd"
+    pos = tmp_path / "pos.tsv"
+    run("generate", "--kind", "spd-sphere", "--shape", 16, "--out", clean,
+        "--positions", pos)
+    lines = pos.read_bytes().split(b"\n")
+    if damage == "non-utf8":
+        lines[3] = lines[3].replace(b"\t", b"\t\xe9", 1)
+    elif damage == "token":
+        lines[3] = b"\t".join(lines[3].split(b"\t")[:2] + [b"abc", b"1"])
+    else:   # the idx column skips 2
+        del lines[3]
+    pos.write_bytes(b"\n".join(lines))
+    return clean, pos
+
+
+@pytest.mark.parametrize("command", ["build-graph", "export"])
+@pytest.mark.parametrize("damage", ["non-utf8", "token", "skipped-index"])
+def test_malformed_positions_exit_3(tmp_path, capsys, command, damage):
+    clean, pos = _positions_case(tmp_path, damage)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    if command == "build-graph":
+        rc = run("build-graph", "--kind", "eps-ball", "--eps", 0.5,
+                 "--positions", pos, "--in", clean, "--out", out)
+    else:
+        rc = run("export", "--in", clean, "--format", "ply",
+                 "--positions", pos, "--out", out)
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 4: ")
+    assert not out.exists()
+
+
+def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+    monkeypatch.setattr("mvgraph.cli.load_mvd", exhausted)
+    assert run("eval", "--a", tmp_path / "a.mvd",
+               "--b", tmp_path / "b.mvd") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: out of memory: Unable to allocate 8.00 EiB for "
+                   "an array"]
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,20 @@ def test_config_rejects_non_finite_fields(name, value):
         cfg(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("value", [2.5, np.nan, np.inf, -np.inf])
+def test_config_rejects_fractional_max_iters(value):
+    # range() raised a raw TypeError inside solve for these
+    with pytest.raises(ConfigError, match="max_iters must be a whole number"):
+        cfg(max_iters=value).validate()
+
+
+def test_config_accepts_a_whole_float_max_iters():
+    g = path_graph([1.0])
+    f0 = VertexFunction(Euclidean(1), np.array([[0.0], [1.0]]))
+    _, rep = solve(g, f0, cfg(max_iters=3.0, stop_tol=0.0))
+    assert rep.iterations == 3
+
+
 # ---------------------------------------------------------------------------
 # frozen single steps
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ smooth backgrounds, canonical angles).
 import numpy as np
 import pytest
 
+from conftest import clustered_vertex_function
 from mvgraph.errors import ConfigError, DomainError
 from mvgraph.calculus import edge_logs
 from mvgraph.fields import VertexFunction
@@ -33,6 +34,10 @@ def test_noise_spec_validation():
             NoiseSpec(kind="riemannian-gaussian", sigma=sigma).validate()
     with pytest.raises(ConfigError):
         NoiseSpec(kind="salt-pepper", sigma=0.1, rng_seed=0).validate()
+    NoiseSpec(rng_seed=np.int64(3)).validate()
+    for seed in (-1, 2.5, 2.0, None, "7"):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            NoiseSpec(rng_seed=seed).validate()
 
 
 def test_zero_sigma_is_identity():
@@ -68,6 +73,21 @@ def test_noise_respects_mask():
     assert out.values[1, 0] == 99.0
     assert out.mask is not None and list(out.mask) == [True, False, True]
     assert out.values[0, 0] != 0.0 and out.values[2, 0] != 1.0
+
+
+@pytest.mark.parametrize("manifold", [Circle(), Sphere2(), Spd(3)],
+                         ids=lambda m: m.kind)
+def test_masked_noise_is_the_compressed_draw(manifold):
+    rng = np.random.default_rng(4)
+    n = 30
+    mask = rng.random(n) < 0.5
+    vals = clustered_vertex_function(manifold, rng, n).values.copy()
+    vals[~mask] = np.nan     # placeholders that no draw may touch
+    spec = NoiseSpec(sigma=0.3, rng_seed=9)
+    out = add_noise(VertexFunction(manifold, vals, mask), spec)
+    alone = add_noise(VertexFunction(manifold, vals[mask]), spec)
+    assert np.array_equal(out.values[mask], alone.values)
+    assert np.isnan(out.values[~mask]).all()
 
 
 def test_wrapped_gaussian_is_circle_only():
