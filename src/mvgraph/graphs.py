@@ -458,7 +458,7 @@ def load_edges_tsv(path) -> WeightedGraph:
         raise FormatError(f"edge list is not UTF-8 text: {err}") from err
     n = int(m.group(1))
     symmetric = m.group(2) == "1"
-    edges = _parse_rows(enumerate(lines, start=2), _EDGE_ROW,
+    edges = _parse_rows(lines, 2, _EDGE_ROW,
                         "'u\\tv\\tw' with integer u and v")
     try:
         return WeightedGraph(n, edges["u"], edges["v"], edges["w"],
@@ -467,23 +467,24 @@ def load_edges_tsv(path) -> WeightedGraph:
         raise FormatError(f"invalid edge list: {exc}") from exc
 
 
-def _parse_rows(numbered, dtype, expect):
-    """Rows of ``dtype`` from the non-blank lines of ``(lineno, line)``
-    pairs, tab-separated, in one ``np.loadtxt`` call.
+def _parse_rows(lines, first, dtype, expect):
+    """Rows of ``dtype`` from the non-blank tab-separated ``lines``, in one
+    ``np.loadtxt`` call; ``lines[0]`` is line ``first`` of the file.
 
     A malformed line raises FormatError naming its line and ``expect``.
     """
-    numbered = [(k, line) for k, line in numbered if line.strip()]
-    if not numbered:
+    body = [line for line in lines if line.strip()]
+    if not body:
         return np.zeros(0, dtype)
     kw = dict(dtype=dtype, delimiter="\t", comments=None, ndmin=1)
     try:
-        return np.loadtxt([line for _, line in numbered], **kw)
+        return np.loadtxt(body, **kw)
     except ValueError as err:
-        for lineno, line in numbered:
-            try:
-                np.loadtxt([line], **kw)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: expected {expect}, "
-                                  f"got {line!r}") from exc
+        for lineno, line in enumerate(lines, start=first):
+            if line.strip():
+                try:
+                    np.loadtxt([line], **kw)
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: expected {expect}, "
+                                      f"got {line!r}") from exc
         raise FormatError(f"malformed rows: {err}") from err

@@ -180,17 +180,18 @@ def load_positions_tsv(path) -> np.ndarray:
         lineno = raw.count(b"\n", 0, err.start) + 1
         raise FormatError(f"line {lineno}: not UTF-8 text ({err.reason} "
                           f"at byte {err.start})") from err
-    numbered = [(k, ln.strip()) for k, ln in enumerate(lines, start=1)
-                if ln.strip()]
-    if not numbered or numbered[0][1].split("\t") != ["idx", "x", "y", "z"]:
+    head = next((k for k, ln in enumerate(lines) if ln.strip()), None)
+    if (head is None
+            or lines[head].strip().split("\t") != ["idx", "x", "y", "z"]):
         raise FormatError("positions file must start with 'idx\\tx\\ty\\tz'")
-    rows = _parse_rows(numbered[1:], _POSITION_ROW,
+    body = lines[head + 1:]
+    rows = _parse_rows(body, head + 2, _POSITION_ROW,
                        "'idx\\tx\\ty\\tz' with an integer idx")
     bad = np.flatnonzero(rows["idx"] != np.arange(rows.size))
     if bad.size:
-        lineno, line = numbered[1 + bad[0]]
-        raise FormatError(f"line {lineno}: expected idx {bad[0]}, "
-                          f"got {line!r}")
+        k = [k for k, ln in enumerate(body) if ln.strip()][bad[0]]
+        raise FormatError(f"line {head + 2 + k}: expected idx {bad[0]}, "
+                          f"got {body[k]!r}")
     return rows["xyz"].copy()
 
 
