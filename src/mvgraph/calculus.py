@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,14 +47,26 @@ def _expand(arr, point_shape):
 
 
 def _scatter(graph, terms):
-    """Sum per-edge scalar or tangent ``terms`` over each vertex's out-edges."""
+    """Sum per-edge scalar or tangent ``terms`` over each vertex's out-edges.
+
+    Symmetric (m, k, k) terms (Spd tangents) are summed over their upper
+    triangle and mirrored: k(k+1)/2 passes instead of k^2.
+    """
     n = graph.n_vertices
-    flat = terms.reshape(terms.shape[0], math.prod(terms.shape[1:]))
-    cols = [np.bincount(graph.src, weights=flat[:, j], minlength=n)
-            for j in range(flat.shape[1])]
-    # (bincount returns integers when there are no edges)
-    return np.stack(cols, axis=1).astype(np.float64, copy=False).reshape(
-        (n,) + terms.shape[1:])
+    shape = terms.shape[1:]
+    flat = terms.reshape(terms.shape[0], math.prod(shape))
+    cols = [(j, j) for j in range(flat.shape[1])]
+    if len(shape) == 2 and shape[0] == shape[1]:
+        k = shape[0]
+        upper = [(i * k + j, j * k + i) for i in range(k) for j in range(i, k)]
+        if all(np.array_equal(flat[:, a], flat[:, b])
+               for a, b in upper if a != b):
+            cols = upper
+    out = np.empty((n, flat.shape[1]))
+    for a, b in cols:
+        out[:, a] = out[:, b] = np.bincount(graph.src, weights=flat[:, a],
+                                            minlength=n)
+    return out.reshape((n,) + shape)
 
 
 def _check_pair(graph, f: VertexFunction):
@@ -108,20 +121,22 @@ def _on_active_edges(graph, f: VertexFunction, op, edges=slice(None)):
     return tuple(outs) if isinstance(res, tuple) else outs[0]
 
 
-def edge_logs(graph, f: VertexFunction):
+def edge_logs(graph, f: VertexFunction, state=None):
     """Per-edge logs ``log_{f(u)} f(v)`` and geodesic distances.
 
     Entries for edges with an inactive endpoint are zero.  Returns the pair
     ``(logs, dists)`` with shapes ``(m,) + point_shape`` and ``(m,)``.
     Raises InjectivityError naming the edge when an active edge joins
     values beyond the injectivity bound; this pass is the admissibility
-    check of every iterate.
+    check of every iterate.  ``state`` is the point state of f from
+    ``_edge_pass``, when the caller has it.
     """
     _check_pair(graph, f)
 
     def op(src, dst, sel, rev):
         try:
-            return f.manifold.edge_log_and_dist(f.values, src, dst, rev)
+            return f.manifold.edge_log_and_dist(f.values, src, dst, rev,
+                                                state)
         except InjectivityError as err:
             _reraise_with_edge(err, src, dst)
     return _on_active_edges(graph, f, op)
@@ -337,21 +352,48 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
     return _on_active_edges(graph, f, op)
 
 
-def _residual(graph, f: VertexFunction, f0, lam, p, model, eps_smooth,
-              logs, d):
-    """Residual ``R = -sum_v b(u,v) log_{f(u)} f(v) - lam log_{f(u)} f0(u)``
-    and the edge coefficients ``b``, from the edge pass
-    ``(logs, d) = edge_logs(graph, f)``.
+class _Pass(NamedTuple):
+    """What the operators read from one vertex function f, each computed
+    once: its point state (``Manifold.point_state`` on the active vertices;
+    None off Spd), its edge logs and distances, and its fidelity logs and
+    distances to the data (None when lam = 0)."""
 
-    With ``lam = 0`` this is the p-Laplacian of the model; ``f0`` is read
-    only when ``lam > 0``.
+    state: np.ndarray | None
+    logs: np.ndarray
+    d: np.ndarray
+    data_logs: np.ndarray | None
+    data_d: np.ndarray | None
+
+
+def _edge_pass(graph, f: VertexFunction):
+    """The point state of f and its edge pass, ``(state, logs, d)``.  The
+    state covers the active vertices only: a masked placeholder need not be
+    a point of the manifold."""
+    state = f._on_active(f.manifold.point_state)
+    return (state, *edge_logs(graph, f, state))
+
+
+def _iterate_pass(graph, f: VertexFunction, f0, lam, edges=None):
+    """The ``_Pass`` of f, completing its ``_edge_pass`` when given;
+    ``f0`` is read only when ``lam > 0``."""
+    state, logs, d = _edge_pass(graph, f) if edges is None else edges
+    data = _data_logs(f, f0, state) if lam > 0 else (None, None)
+    return _Pass(state, logs, d, *data)
+
+
+def _residual(graph, f: VertexFunction, lam, p, model, eps_smooth, it):
+    """Residual ``R = -sum_v b(u,v) log_{f(u)} f(v) - lam log_{f(u)} f0(u)``
+    and the edge coefficients ``b``, from the pass ``it`` of f
+    (``_iterate_pass``).
+
+    With ``lam = 0`` this is the p-Laplacian of the model.
     """
     if p <= 0:
         raise DomainError("p must be positive")
-    b = _edge_coefficients(graph, f, d, model, p, eps_smooth)
-    R = _scatter(graph, -_expand(b, f.manifold.point_shape) * logs)
+    b = _edge_coefficients(graph, f, it.d, model, p, eps_smooth)
+    R = _scatter(graph, -_expand(b, f.manifold.point_shape) * it.logs)
     if lam > 0:
-        R -= lam * _data_logs(f, f0)
+        R -= lam * it.data_logs
     return R, b
 
 
@@ -365,8 +407,8 @@ def aniso_p_laplacian(graph, f: VertexFunction, p: float,
     On symmetric graphs this is ``div`` of the flux
     ``||grad f(u,v)||^{p-2} grad f(u,v)``.
     """
-    R, _ = _residual(graph, f, None, 0.0, p, "aniso", eps_smooth,
-                     *edge_logs(graph, f))
+    R, _ = _residual(graph, f, 0.0, p, "aniso", eps_smooth,
+                     _iterate_pass(graph, f, None, 0.0))
     return TangentVertexField(f, R)
 
 
@@ -381,8 +423,8 @@ def iso_p_laplacian(graph, f: VertexFunction, p: float,
     symmetric weights this equals ``divergence`` of the flux
     ``alpha_u grad f(u, v)``; at p = 2 it equals the anisotropic operator.
     """
-    R, _ = _residual(graph, f, None, 0.0, p, "iso", eps_smooth,
-                     *edge_logs(graph, f))
+    R, _ = _residual(graph, f, 0.0, p, "iso", eps_smooth,
+                     _iterate_pass(graph, f, None, 0.0))
     return TangentVertexField(f, R)
 
 
@@ -401,8 +443,9 @@ def _check_model_args(f, f0, lam, p):
         raise DomainError("p must be positive")
 
 
-def _energy(graph, f: VertexFunction, f0: VertexFunction, lam, p, model, d):
-    """Model energy of f given its edge distances ``d`` (zero when inactive).
+def _energy(graph, lam, p, model, d, d0):
+    """Model energy from the edge distances ``d`` (zero when inactive) and
+    the fidelity distances ``d0`` (None when ``lam = 0``).
 
     The regularizer is ``(1/p) sum over directed edges (sqrt(w) d)^p``
     (aniso) or ``(1/p) sum_u (sum_v w d^2)^(p/2)`` (iso).
@@ -411,8 +454,8 @@ def _energy(graph, f: VertexFunction, f0: VertexFunction, lam, p, model, d):
         reg = np.sum((graph.sqrt_weight * d) ** p) / p
     else:
         reg = np.sum(_scatter(graph, graph.weight * d * d) ** (p / 2.0)) / p
-    d0 = f.dists_to(f0)
-    return float(0.5 * lam * np.sum(d0 * d0) + reg)
+    fid = 0.0 if d0 is None else 0.5 * lam * np.sum(d0 * d0)
+    return float(fid + reg)
 
 
 def energy_aniso(graph, f: VertexFunction, f0: VertexFunction,
@@ -420,7 +463,8 @@ def energy_aniso(graph, f: VertexFunction, f0: VertexFunction,
     """(lam/2) sum_u d(f,f0)^2 + (1/p) sum over directed edges (sqrt(w) d)^p."""
     _check_pair(graph, f)
     _check_model_args(f, f0, lam, p)
-    return _energy(graph, f, f0, lam, p, "aniso", _edge_dists(graph, f))
+    return _energy(graph, lam, p, "aniso", _edge_dists(graph, f),
+                   f.dists_to(f0))
 
 
 def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
@@ -428,13 +472,17 @@ def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
     """(lam/2) sum_u d(f,f0)^2 + (1/p) sum_u (sum_v w d^2)^(p/2)."""
     _check_pair(graph, f)
     _check_model_args(f, f0, lam, p)
-    return _energy(graph, f, f0, lam, p, "iso", _edge_dists(graph, f))
+    return _energy(graph, lam, p, "iso", _edge_dists(graph, f),
+                   f.dists_to(f0))
 
 
-def _data_logs(f: VertexFunction, f0: VertexFunction):
-    """log_{f(u)} f0(u) on jointly active vertices, zeros elsewhere."""
+def _data_logs(f: VertexFunction, f0: VertexFunction, state=None):
+    """``(log_{f(u)} f0(u), d(f(u), f0(u)))`` on jointly active vertices,
+    zeros elsewhere; ``state`` is the point state of f from ``_edge_pass``,
+    when the caller has it."""
     try:
-        return f._on_active(f.manifold.log, f0.values, other=f0)
+        return f._on_active(f.manifold.log_and_dist, f0.values, state,
+                            other=f0)
     except InjectivityError as err:
         u = -1 if err.vertex is None else err.vertex
         raise InjectivityError(
@@ -452,8 +500,8 @@ def residual(graph, f: VertexFunction, f0: VertexFunction, lam: float,
     symmetric weights; it is the defect the solvers drive to zero.
     """
     _check_model_args(f, f0, lam, p)
-    R, _ = _residual(graph, f, f0, lam, p, model, eps_smooth,
-                     *edge_logs(graph, f))
+    R, _ = _residual(graph, f, lam, p, model, eps_smooth,
+                     _iterate_pass(graph, f, f0, lam))
     return TangentVertexField(f, R)
 
 

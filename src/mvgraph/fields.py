@@ -87,26 +87,33 @@ class VertexFunction:
         """``op(values, *arrays)`` on the active vertices only.
 
         The vertices are those active here (and in ``other``, when given);
-        ``arrays`` hold one row per vertex.  The rows ``op`` returns are
-        spread over all vertices with zero rows elsewhere, or the rows of
-        ``fill``.  An InjectivityError's ``vertex`` is renumbered to the
-        full vertex list.  Unmasked, ``op`` runs on the full arrays and its
-        result is returned as it is.
+        ``arrays`` hold one row per vertex (None passes through).  Each
+        array ``op`` returns (one, a tuple of them, or None) is spread over
+        all vertices with zero rows elsewhere; the first takes the rows of
+        ``fill`` there instead, when given.  An InjectivityError's
+        ``vertex`` is renumbered to the full vertex list.  Unmasked, ``op``
+        runs on the full arrays and its result is returned as it is.
         """
         mask = self.mask if other is None else self._joint_mask(other)
         if mask is None:
             return op(self.values, *arrays)
         idx = np.flatnonzero(mask)
         try:
-            res = op(self.values[idx], *(a[idx] for a in arrays))
+            res = op(self.values[idx],
+                     *(None if a is None else a[idx] for a in arrays))
         except InjectivityError as err:
             if err.vertex is not None:
                 err.vertex = int(idx[err.vertex])
             raise
-        out = (np.zeros((self.n_vertices,) + res.shape[1:], res.dtype)
-               if fill is None else fill.copy())
-        out[idx] = res
-        return out
+        if res is None:
+            return None
+        outs = []
+        for r in res if isinstance(res, tuple) else (res,):
+            out = (np.zeros((self.n_vertices,) + r.shape[1:], r.dtype)
+                   if fill is None or outs else fill.copy())
+            out[idx] = r
+            outs.append(out)
+        return tuple(outs) if isinstance(res, tuple) else outs[0]
 
     def check_points(self):
         """Validate the manifold invariants on all active vertices."""

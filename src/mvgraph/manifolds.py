@@ -315,20 +315,38 @@ class Manifold:
     def exp(self, x, v):
         raise NotImplementedError
 
+    def exp_and_norm(self, x, v, state=None):
+        """Return ``(exp_x v, dist(x, exp_x v))`` sharing intermediate work.
+
+        The distance is the length of the geodesic step, ``||v||_x``, where
+        every geodesic is minimizing (infinite injectivity radius); the
+        compact geometries wrap it into [0, pi].  ``state`` is
+        ``point_state(x)`` or None.
+        """
+        return self.exp(x, v), self.norm(x, v)
+
     def log(self, x, y):
         return self.log_and_dist(x, y)[0]
 
-    def log_and_dist(self, x, y):
-        """Return ``(log_x y, dist(x, y))`` sharing intermediate work."""
+    def log_and_dist(self, x, y, state=None):
+        """Return ``(log_x y, dist(x, y))`` sharing intermediate work;
+        ``state`` is ``point_state(x)`` or None."""
         raise NotImplementedError
 
-    def edge_log_and_dist(self, points, src, dst, rev):
+    def point_state(self, x):
+        """Per-point work that ``log_and_dist``, ``exp_and_norm`` and
+        ``edge_log_and_dist`` can share between calls at the same base
+        points, one row per point; None where there is none to share."""
+        return None
+
+    def edge_log_and_dist(self, points, src, dst, rev, state=None):
         """``log_and_dist(points[src], points[dst])`` over a batch of edges.
 
         ``rev[i]`` is the batch position of the reverse of edge ``i``, or -1
-        when it is not in the batch.  Geometries that can share work between
-        edges with a common source, or between an edge and its reverse,
-        override this.
+        when it is not in the batch; ``state`` is ``point_state(points)``
+        or None (its rows are read only at ``src``).  Geometries that can
+        share work between edges with a common source, or between an edge
+        and its reverse, override this.
         """
         return self.log_and_dist(np.take(points, src, axis=0),
                                  np.take(points, dst, axis=0))
@@ -407,7 +425,7 @@ class Euclidean(Manifold):
     def log(self, x, y):
         return np.asarray(y, dtype=np.float64) - x
 
-    def log_and_dist(self, x, y):
+    def log_and_dist(self, x, y, state=None):
         v = self.log(x, y)
         return v, np.linalg.norm(v, axis=-1)
 
@@ -445,7 +463,11 @@ class Circle(Manifold):
     def exp(self, x, v):
         return _wrap_in_place(np.asarray(x, dtype=np.float64) + v)
 
-    def log_and_dist(self, x, y):
+    def exp_and_norm(self, x, v, state=None):
+        t = wrap_angle(v)
+        return self.exp(x, v), np.abs(t, out=t)[..., 0]
+
+    def log_and_dist(self, x, y, state=None):
         x, y = self._check_shape(x), self._check_shape(y)
         v = _wrap_in_place(y - x)
         d = np.abs(v)[..., 0]
@@ -491,14 +513,18 @@ class Sphere2(Manifold):
         return np.arctan2(s, np.sum(x * y, axis=-1))
 
     def exp(self, x, v):
+        return self.exp_and_norm(x, v)[0]
+
+    def exp_and_norm(self, x, v, state=None):
         x = self._check_shape(x)
         v = self._check_shape(v, "tangent")
         t = np.linalg.norm(v, axis=-1, keepdims=True)
         # sinc(t/pi) = sin(t)/t, finite at t = 0
         y = np.cos(t) * x + np.sinc(t / np.pi) * v
-        return y / np.linalg.norm(y, axis=-1, keepdims=True)
+        d = wrap_angle(t[..., 0])
+        return y / np.linalg.norm(y, axis=-1, keepdims=True), np.abs(d, out=d)
 
-    def log_and_dist(self, x, y):
+    def log_and_dist(self, x, y, state=None):
         x, y = self._check_shape(x), self._check_shape(y)
         dot = np.sum(x * y, axis=-1)
         perp = y - dot[..., None] * x
@@ -552,10 +578,16 @@ class Sphere2(Manifold):
 
 
 def _roots(c):
-    """x^1/2 and x^-1/2 in components, eigenvalues clamped."""
+    """x^1/2 over x^-1/2: their components stacked, 2k rows, eigenvalues
+    clamped."""
     w, q = _eigh_sym(c)
     s = np.sqrt(np.maximum(w, EIG_CLAMP))
-    return _recompose(q, s), _recompose(q, 1.0 / s)
+    return np.concatenate([_recompose(q, s), _recompose(q, 1.0 / s)])
+
+
+def _state_roots(state):
+    """The stacked root components (2k, N) of ``Spd.point_state`` rows."""
+    return np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
 
 
 def _log_mid(irt, y):
@@ -595,6 +627,12 @@ class Spd(Manifold):
       reverse of each evaluated edge this way, so an edge pass costs one
       eigendecomposition per distinct source vertex plus one per undirected
       edge.
+    * dist(x, exp_x v) = ||v||_x = ||Lambda||_F for the eigenvalues Lambda
+      of x^-1/2 v x^-1/2, which ``exp`` decomposes anyway.
+
+    ``point_state`` holds x^1/2 and x^-1/2; ``log_and_dist``,
+    ``exp_and_norm`` and ``edge_log_and_dist`` read the roots from it
+    instead of decomposing x again.
 
     Each method converts its (..., n, n) operands once to component arrays:
     one contiguous row per distinct entry, n(n+1)/2 rows with the batch
@@ -637,9 +675,10 @@ class Spd(Manifold):
 
     # -- internal helpers --------------------------------------------------
 
-    def _operands(self, x, *others):
-        """x^1/2, x^-1/2 and the components of ``others``, broadcast to
-        their joint batch shape and flattened, then that batch shape."""
+    def _operands(self, x, *others, state=None):
+        """x^1/2, x^-1/2 (from ``state`` when given) and the components of
+        ``others``, broadcast to their joint batch shape and flattened, then
+        that batch shape."""
         batch = np.broadcast_shapes(*(a.shape[:-2] for a in (x,) + others))
 
         def flat(c, shape):
@@ -648,9 +687,18 @@ class Spd(Manifold):
             return np.broadcast_to(c, c.shape[:1] + batch).reshape(
                 c.shape[0], -1)
         lead = x.shape[:-2]
-        rt, irt = _blockwise(_roots, _components(x))
+        roots = (_blockwise(_roots, _components(x)) if state is None
+                 else _state_roots(state))
+        rt, irt = np.split(roots, 2)
         return (flat(rt, lead), flat(irt, lead),
                 *(flat(_components(a), a.shape[:-2]) for a in others), batch)
+
+    def point_state(self, x):
+        """x^1/2 and x^-1/2: one row per matrix, the components of x^1/2
+        followed by those of x^-1/2."""
+        x = self._check_shape(x)
+        roots = _blockwise(_roots, _components(x))
+        return roots.T.reshape(x.shape[:-2] + roots.shape[:1])
 
     # -- kernel operations ---------------------------------------------
 
@@ -662,37 +710,47 @@ class Spd(Manifold):
         return _per_matrix(d, batch)
 
     def exp(self, x, v):
+        return self.exp_and_norm(x, v)[0]
+
+    def exp_and_norm(self, x, v, state=None):
         x = self._check_shape(x)
         v = self._check_shape(v, "tangent")
-        rt, irt, v, batch = self._operands(x, v)
+        rt, irt, v, batch = self._operands(x, v, state=state)
 
         def block(rt, irt, v):
             w, q = _eigh_sym(_congruence(irt, v))
-            return _congruence(rt, _recompose(q, np.exp(w)))
-        return _matrices(_blockwise(block, rt, irt, v), batch)
+            return (_congruence(rt, _recompose(q, np.exp(w))),
+                    np.sqrt(np.sum(w * w, axis=0)))
+        y, t = _blockwise(block, rt, irt, v)
+        return _matrices(y, batch), _per_matrix(t, batch)
 
-    def log_and_dist(self, x, y):
+    def log_and_dist(self, x, y, state=None):
         x = self._check_shape(x)
         y = self._check_shape(y)
-        rt, irt, y, batch = self._operands(x, y)
+        rt, irt, y, batch = self._operands(x, y, state=state)
         logs, d = _blockwise(lambda *a: _log_block(*a)[:2], rt, irt, y)
         return _matrices(logs, batch), _per_matrix(d, batch)
 
-    def edge_log_and_dist(self, points, src, dst, rev):
-        """One root eigendecomposition per distinct source vertex and one
-        ``_log_mid`` per undirected pair; the reverse of an evaluated edge
-        comes from the identity in the class docstring."""
+    def edge_log_and_dist(self, points, src, dst, rev, state=None):
+        """One ``_log_mid`` per undirected pair, with the roots of each
+        source vertex read from ``state`` (or decomposed once per distinct
+        source vertex); the reverse of an evaluated edge comes from the
+        identity in the class docstring."""
         points = self._check_shape(points)
         direct = np.flatnonzero((rev < 0) | (np.arange(src.size) < rev))
-        verts, at = np.unique(src[direct], return_inverse=True)
+        at = src[direct]
+        if state is None:
+            verts, at = np.unique(at, return_inverse=True)
+            state = self.point_state(np.take(points, verts, axis=0))
+        roots = state.T
         p = _components(points)
-        rt, irt = _blockwise(_roots, np.take(p, verts, axis=1))
         logs = np.empty((src.size,) + self.point_shape)
         d = np.empty(src.size)
         for a in range(0, direct.size, _EIGH3_BLOCK):
             e, v = direct[a:a + _EIGH3_BLOCK], at[a:a + _EIGH3_BLOCK]
-            y, irt_e = np.take(p, dst[e], axis=1), np.take(irt, v, axis=1)
-            fwd, d[e], rm = _log_block(np.take(rt, v, axis=1), irt_e, y)
+            rt_e, irt_e = np.split(np.take(roots, v, axis=1), 2)
+            y = np.take(p, dst[e], axis=1)
+            fwd, d[e], rm = _log_block(rt_e, irt_e, y)
             logs[e] = _matrices(fwd, e.shape)
             pair = np.flatnonzero(rev[e] >= 0)
             # y x^-1/2 M x^1/2, with M x^1/2 the transpose of x^1/2 M

@@ -15,10 +15,13 @@ undirected edge counted once (half the energy at fidelity ``2 lam``), and
 a vanishing ``R`` is the stationarity condition.
 
 Stopping: after each sweep the mean geodesic change over active vertices is
-compared against ``stop_tol``; the run also ends at ``max_iters``.  A small
-jacobi change alone certifies nothing: the step is ``-R / (lam + sum b)``,
-and a large damping ``sum b`` (p < 2 near collapsed regions) makes it small
-while ``R`` is not.  A jacobi run that meets the change test therefore ends
+compared against ``stop_tol``; the run also ends at ``max_iters``.  The
+change of a vertex is the geodesic length of its step v, ``d(f(u),
+exp_{f(u)} v) = ||v||`` (wrapped into [0, pi] on the circle and the
+sphere), which the exponential computes anyway.  A small jacobi change
+alone certifies nothing: the step is ``-R / (lam + sum b)``, and a large
+damping ``sum b`` (p < 2 near collapsed regions) makes it small while ``R``
+is not.  A jacobi run that meets the change test therefore ends
 with ``reason="converged"`` only if ``max ||R|| <=
 JACOBI_RESIDUAL_FACTOR * lam * stop_tol`` at that iterate, and with
 ``reason="stalled"`` otherwise.  The explicit change is ``dt * ||R||`` at a
@@ -26,15 +29,20 @@ fixed dt, so the change test alone bounds its residual.
 
 One sweep function serves ``solve``, ``explicit_step`` and ``jacobi_step``:
 it computes ``R`` and the step direction once from the current iterate's
-edge pass, takes the exponential, checks that the new iterate is finite at
-its active vertices, then runs the new iterate's edge pass.  That pass is
-the admissibility check (an active edge beyond the injectivity bound raises
-an injectivity error) and, in ``solve``, the next sweep's ``R``, the
-energy-trace entry and the final residual: one edge pass per iterate.  With
-``halve_dt_on_injectivity`` a violating explicit sweep of ``solve`` redoes
-the exponential, the check and the pass at halved dt; ``dt_trace`` records
-the dt each sweep used.  Public steps never halve.  A non-finite iterate or
-a failing eigensolver raises ``DivergenceError`` naming the sweep or step.
+pass, takes the exponential, checks that the new iterate is finite at its
+active vertices, then runs the new iterate's pass.  That pass is the
+iterate's point state (on Spd its roots x^{+-1/2}, decomposed once), its
+edge logs and distances and its fidelity logs and distances.  The edge part
+is the admissibility check (an active edge beyond the injectivity bound
+raises an injectivity error); in ``solve`` the whole pass is the next
+sweep's ``R`` and exponential, the energy-trace entry and the final
+residual: one pass per iterate.  With ``halve_dt_on_injectivity`` a
+violating explicit sweep of ``solve`` redoes the exponential, the check and
+the edge pass at halved dt; ``dt_trace`` records the dt each sweep used.
+An antipodal iterate/datum pair in the fidelity term raises an injectivity
+error that is never halved.  Public steps never halve.  A non-finite iterate
+or a failing eigensolver raises ``DivergenceError`` naming the sweep or
+step.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (EPS_SMOOTH_DEFAULT, _energy, _expand, _residual,
-                       _scatter, edge_logs)
+from .calculus import (EPS_SMOOTH_DEFAULT, _edge_pass, _energy, _expand,
+                       _iterate_pass, _residual, _scatter)
 from .errors import ConfigError, DivergenceError, DomainError, InjectivityError
 from .fields import TangentVertexField, VertexFunction
 from .graphs import WeightedGraph
@@ -111,6 +119,9 @@ class SolverConfig:
 class SolveReport:
     """Diagnostics of one :func:`solve` run.
 
+    ``change_trace`` holds each sweep's change: the mean over active
+    vertices of the geodesic length of the step, which is the distance
+    from the previous iterate.
     ``reason`` is ``"converged"`` (the change test held and, for jacobi,
     the residual certificate too), ``"stalled"`` (a jacobi change test held
     while ``residual_max`` is still above the certificate bound) or
@@ -141,27 +152,30 @@ def _diverging(label):
         raise DivergenceError(f"{label} diverged: {err}") from err
 
 
-def _sweep(label, graph, f, f0, cfg, scheme, edges=None, halve=False):
-    """One sweep of ``scheme`` from ``f``, as ``(new, new_edges, dt)``.
+def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
+    """One sweep of ``scheme`` from ``f``, as ``(new, new_it, dt, change)``.
 
-    ``edges`` is the edge pass of ``f``; a public step passes none, and
-    then gets ``new_edges`` only where the injectivity radius is finite
-    (None otherwise).  ``halve`` allows an explicit sweep to retry at
-    halved dt (see the module docstring).
+    ``it`` is the ``_iterate_pass`` of ``f``, and ``new_it`` that of
+    ``new``.  A public step passes none and gets none back; it checks the
+    new iterate's edges only where the injectivity radius is finite.
+    ``change`` is the mean geodesic length of the steps over active
+    vertices.  ``halve`` allows an explicit sweep to retry at halved dt
+    (see the module docstring).
     """
-    check_new = edges is not None or np.isfinite(f.manifold.injectivity_radius)
+    public = it is None
+    check_new = not public or np.isfinite(f.manifold.injectivity_radius)
 
-    def finite_exp(x, v):
-        y = f.manifold.exp(x, v)
+    def finite_exp(x, v, state):
+        y, t = f.manifold.exp_and_norm(x, v, state)
         if np.isfinite(y).all():
-            return y
+            return y, t
         raise DivergenceError(f"{label} diverged: its iterate is not finite")
 
     with _diverging(label):
-        if edges is None:
-            edges = edge_logs(graph, f)
-        R, b = _residual(graph, f, f0, cfg.lam, cfg.p, cfg.model,
-                         cfg.eps_smooth, *edges)
+        if public:
+            it = _iterate_pass(graph, f, f0, cfg.lam)
+        R, b = _residual(graph, f, cfg.lam, cfg.p, cfg.model, cfg.eps_smooth,
+                         it)
         if scheme == "jacobi":
             direction = -R / _expand(cfg.lam + _scatter(graph, b),
                                      f.manifold.point_shape)
@@ -171,15 +185,23 @@ def _sweep(label, graph, f, f0, cfg, scheme, edges=None, halve=False):
         dt = cfg.dt
         for _ in range(_MAX_HALVINGS):
             step = direction if scheme == "jacobi" else dt * direction
-            new = f.with_values(f._on_active(finite_exp, step, fill=f.values))
+            values, t = f._on_active(finite_exp, step, it.state, fill=f.values)
+            new = f.with_values(values)
             try:
-                return new, edge_logs(graph, new) if check_new else None, dt
+                edges = _edge_pass(graph, new) if check_new else None
+                break
             except InjectivityError:
                 if scheme == "jacobi" or not halve:
                     raise
                 dt *= 0.5
-    raise InjectivityError(
-        f"explicit sweep still inadmissible after {_MAX_HALVINGS} dt halvings")
+        else:
+            raise InjectivityError(f"explicit sweep still inadmissible after "
+                                   f"{_MAX_HALVINGS} dt halvings")
+        # outside the retry: an antipodal datum is not halved away
+        new_it = None if public else _iterate_pass(graph, new, f0, cfg.lam,
+                                                   edges)
+    t = t if f.mask is None else t[f.mask]
+    return new, new_it, dt, float(np.mean(t)) if t.size else 0.0
 
 
 def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
@@ -222,32 +244,28 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
                            None if f0.mask is None else f0.mask.copy(),
                            validate=False)
 
-    edges = edge_logs(graph, f)
+    it = _iterate_pass(graph, f, f0, cfg.lam)
     etrace = None
     if cfg.record_energy:
-        etrace = [_energy(graph, f, f0, cfg.lam, cfg.p, cfg.model, edges[1])]
+        etrace = [_energy(graph, cfg.lam, cfg.p, cfg.model, it.d, it.data_d)]
 
     changes = []
     dts = []
     reason = "max_iters"
     for k in range(1, int(cfg.max_iters) + 1):
-        new, edges, dt = _sweep(f"sweep {k}", graph, f, f0, cfg, cfg.scheme,
-                                edges, cfg.halve_dt_on_injectivity)
-        with _diverging(f"sweep {k}"):
-            d = f.dists_to(new)
-        f = new
-        change = float(np.mean(d)) if d.size else 0.0
+        f, it, dt, change = _sweep(f"sweep {k}", graph, f, f0, cfg,
+                                   cfg.scheme, it,
+                                   cfg.halve_dt_on_injectivity)
         changes.append(change)
         dts.append(dt)
         if etrace is not None:
-            etrace.append(_energy(graph, f, f0, cfg.lam, cfg.p, cfg.model,
-                                  edges[1]))
+            etrace.append(_energy(graph, cfg.lam, cfg.p, cfg.model, it.d,
+                                  it.data_d))
         if change < cfg.stop_tol:
             reason = "converged"
             break
 
-    R, _ = _residual(graph, f, f0, cfg.lam, cfg.p, cfg.model,
-                     cfg.eps_smooth, *edges)
+    R, _ = _residual(graph, f, cfg.lam, cfg.p, cfg.model, cfg.eps_smooth, it)
     rmax = TangentVertexField(f, R).max_norm()
     if (reason == "converged" and cfg.scheme == "jacobi"
             and rmax > JACOBI_RESIDUAL_FACTOR * cfg.lam * cfg.stop_tol):

@@ -1,7 +1,9 @@
-"""Seeded malformed-input sweep over circle files: ``denoise`` and ``eval``
-on damaged copies of a valid 8 x 8 phase ``.mvd`` and its grid TSV exit
-0, 2 or 3 with a one-line message, never with a traceback or a numpy
-warning."""
+"""Seeded malformed-input sweep: ``denoise`` and ``eval`` on damaged copies
+of a valid ``.mvd`` and its graph TSV exit 0, 2 or 3 with a one-line
+message, never with a traceback or a numpy warning.  The inputs are an
+8 x 8 phase image (circle) and an 8 x 8 whirl (sphere2), each with its
+grid graph, and 60 SPD(3) samples on the sphere with their epsilon-ball
+graph."""
 
 import struct
 import time
@@ -16,15 +18,34 @@ N_CASES = 40
 BUDGET_S = 5.0
 
 
-@pytest.fixture(scope="module")
-def valid(tmp_path_factory):
-    d = tmp_path_factory.mktemp("circle")
-    mvd, tsv = d / "phase.mvd", d / "grid.tsv"
-    assert main(["generate", "--kind", "phase", "--shape", "8", "8",
-                 "--out", str(mvd)]) == 0
-    assert main(["build-graph", "--kind", "grid4", "--in", str(mvd),
+DENOISE = ["--model", "aniso", "--p", "1", "--lambda", "0.1", "--dt", "1e-2",
+           "--max-iters", "20"]
+# generate arguments, build-graph arguments and denoise arguments per kind;
+# {d} is the directory of the valid files
+KINDS = {
+    "circle": (["--kind", "phase", "--shape", "8", "8"], ["--kind", "grid4"],
+               DENOISE),
+    "s2whirl": (["--kind", "s2whirl", "--shape", "8", "8"],
+                ["--kind", "grid4"], DENOISE),
+    "spd-sphere": (["--kind", "spd-sphere", "--shape", "60",
+                    "--positions", "{d}/pos.tsv"],
+                   ["--kind", "eps-ball", "--eps", "0.6",
+                    "--positions", "{d}/pos.tsv"],
+                   ["--model", "aniso", "--p", "1", "--lambda", "10",
+                    "--scheme", "jacobi", "--max-iters", "20"]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(KINDS))
+def valid(request, tmp_path_factory):
+    d = tmp_path_factory.mktemp(request.param)
+    mvd, tsv = d / "data.mvd", d / "graph.tsv"
+    gen, build, denoise = ([a.replace("{d}", str(d)) for a in args]
+                           for args in KINDS[request.param])
+    assert main(["generate", *gen, "--out", str(mvd)]) == 0
+    assert main(["build-graph", *build, "--in", str(mvd),
                  "--out", str(tsv)]) == 0
-    return mvd, tsv, mvd.read_bytes(), tsv.read_bytes()
+    return mvd, tsv, mvd.read_bytes(), tsv.read_bytes(), denoise
 
 
 def _truncate(rng, blob):
@@ -42,7 +63,7 @@ def _payload(blob):
     return head + b"\n", bytearray(body)
 
 
-def _set_angle(rng, blob, value):
+def _set_value(rng, blob, value):
     head, body = _payload(blob)
     i = int(rng.integers(0, len(body) // 8))
     body[8 * i:8 * i + 8] = struct.pack("<d", value)
@@ -67,23 +88,23 @@ def _cases(mvd, tsv):
         yield "edit mvd", "mvd", _edit_byte(rng, mvd)
         yield "edit tsv", "tsv", _edit_byte(rng, tsv)
         tok = (b"nan", b"inf", b"-inf")[int(rng.integers(0, 3))]
-        yield f"{tok.decode()} angle", "mvd", _set_angle(rng, mvd, float(tok))
+        yield f"{tok.decode()} value", "mvd", _set_value(rng, mvd, float(tok))
         yield f"{tok.decode()} in tsv", "tsv", _tsv_token(rng, tsv, tok)
+        # off the manifold: an angle outside (-pi, pi], a sphere point off
+        # the unit sphere, an asymmetric or indefinite matrix
         out = (np.pi + 1e-9, -np.pi, 4.0, -7.5)[int(rng.integers(0, 4))]
-        yield f"angle {out!r}", "mvd", _set_angle(rng, mvd, out)
+        yield f"value {out!r}", "mvd", _set_value(rng, mvd, out)
         yield "edit mvd header", "mvd", _edit_byte(
             rng, mvd[:mvd.index(b"\n")]) + mvd[mvd.index(b"\n"):]
 
 
-def test_damaged_circle_inputs_fail_cleanly(valid, tmp_path, capsys):
-    mvd, tsv, mvd_blob, tsv_blob = valid
+def test_damaged_inputs_fail_cleanly(valid, tmp_path, capsys):
+    mvd, tsv, mvd_blob, tsv_blob, denoise = valid
     for i, (label, which, blob) in enumerate(_cases(mvd_blob, tsv_blob)):
         bad = tmp_path / f"bad{i}.{which}"
         bad.write_bytes(blob)
         data, graph = (bad, tsv) if which == "mvd" else (mvd, bad)
-        for argv in (["denoise", "--in", data, "--graph", graph,
-                      "--model", "aniso", "--p", "1", "--lambda", "0.1",
-                      "--dt", "1e-2", "--max-iters", "20",
+        for argv in (["denoise", "--in", data, "--graph", graph, *denoise,
                       "--out", tmp_path / "out.mvd"],
                      ["eval", "--a", data, "--b", mvd]):
             capsys.readouterr()

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (clustered_vertex_function, random_point,
                       random_symmetric_graph)
+import mvgraph.calculus
 import mvgraph.solvers
 from mvgraph.calculus import energy_aniso, energy_iso, residual
 from mvgraph.errors import ConfigError, DivergenceError, InjectivityError
@@ -469,25 +470,87 @@ def test_solve_makes_one_edge_pass_per_iterate(rng):
     rows.clear()
     _, rep = solve(g, f0, cfg(lam=0.0, dt=0.05, max_iters=k, stop_tol=0.0))
     assert rep.iterations == k
-    m, n = g.n_edges, g.n_vertices
-    # edge logs of the start and of each sweep's result, plus the mean
-    # change of each sweep over the vertices
-    assert sorted(rows) == sorted([m] * (k + 1) + [n] * k)
+    # edge logs of the start and of each sweep's result; the change of a
+    # sweep is the length of its steps, which takes no distance
+    assert rows == [g.n_edges] * (k + 1)
 
 
 def test_explicit_step_on_flat_data_makes_one_edge_pass(rng, monkeypatch):
     calls = []
-    edge_logs = mvgraph.solvers.edge_logs
+    edge_logs = mvgraph.calculus.edge_logs
 
-    def counting(graph, f):
+    def counting(graph, f, state=None):
         calls.append(f)
-        return edge_logs(graph, f)
+        return edge_logs(graph, f, state)
 
-    monkeypatch.setattr(mvgraph.solvers, "edge_logs", counting)
+    monkeypatch.setattr(mvgraph.calculus, "edge_logs", counting)
     g = grid_graph(4, 4)
     f0 = VertexFunction(Euclidean(2), rng.normal(size=(16, 2)))
     explicit_step(g, f0, f0, cfg(lam=0.5))
     assert len(calls) == 1
+
+
+def test_spd_sweep_decomposes_each_matrix_once(rng, monkeypatch):
+    matrices = []
+    eigh_sym = mvgraph.manifolds._eigh_sym
+
+    def counting(c):
+        matrices.append(int(np.prod(np.shape(c)[1:])))
+        return eigh_sym(c)
+
+    monkeypatch.setattr(mvgraph.manifolds, "_eigh_sym", counting)
+    m = Spd(3)
+    g = random_symmetric_graph(rng, 40)
+    f0 = VertexFunction(m, random_point(m, rng, 40))
+    f = VertexFunction(m, random_point(m, rng, 40))
+    n, half = g.n_vertices, g.n_edges // 2
+    # a sweep with its edge pass: the roots x^{+-1/2}, the mid matrices of
+    # the edges and of the fidelity term, and the exp (five passes over the
+    # vertices before the roots were shared)
+    sweep = n + half + 2 * n
+    for step in (explicit_step, jacobi_step):
+        matrices.clear()
+        step(g, f, f0, cfg(lam=1.0, dt=0.1))
+        assert matrices and sum(matrices) <= sweep
+    for k in (1, 3):
+        matrices.clear()
+        solve(g, f0, cfg(scheme="jacobi", lam=1.0, max_iters=k,
+                         stop_tol=0.0), init=f)
+        # the start iterate's pass takes no exp, and the norm of the final
+        # residual takes the roots of the returned iterate once more
+        assert sum(matrices) <= (k + 1) * sweep
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+@pytest.mark.parametrize("manifold", [Euclidean(3), Circle(), Sphere2(),
+                                      Spd(3)], ids=lambda m: m.kind)
+def test_change_is_the_distance_between_iterates(manifold, masked, rng):
+    # weak edges and dt * lam = 1.9: each step overshoots the datum by 90%,
+    # so on the circle and the sphere some steps are longer than pi and
+    # their length must wrap; the masked SPD vertex holds a zero placeholder
+    n = 12
+    g = random_symmetric_graph(rng, n)
+    g = WeightedGraph(n, g.src, g.dst, 1e-3 * g.weight, symmetric=True)
+    mask = np.arange(n) % 5 != 3 if masked else None
+    vals, start = random_point(manifold, rng, n), random_point(manifold, rng, n)
+    if masked and isinstance(manifold, Spd):
+        vals[~mask] = start[~mask] = 0.0
+    f0 = VertexFunction(manifold, vals, mask)
+    init = VertexFunction(manifold, start, mask)
+    c = cfg(lam=1.0, dt=1.9, max_iters=4, stop_tol=0.0,
+            halve_dt_on_injectivity=True)
+    _, rep = solve(g, f0, c, init=init)
+    iterates = [init] + [solve(g, f0, replace(c, max_iters=k), init=init)[0]
+                         for k in range(1, c.max_iters + 1)]
+    longest = 0.0
+    for k in range(c.max_iters):
+        fk, fnext = iterates[k], iterates[k + 1]
+        assert rep.change_trace[k] == pytest.approx(
+            np.mean(fk.dists_to(fnext)), rel=1e-12)
+        R = residual(g, fk, f0, c.lam, c.p, c.model, c.eps_smooth)
+        longest = max(longest, rep.dt_trace[k] * R.max_norm())
+    if manifold.injectivity_radius == np.pi:
+        assert longest > np.pi
 
 
 @pytest.mark.parametrize("model,scheme,masked", [

@@ -9,7 +9,7 @@ import pytest
 import mvgraph.manifolds
 import spd_matmul
 from conftest import random_point, random_symmetric_graph
-from mvgraph.calculus import _on_active_edges, edge_logs
+from mvgraph.calculus import _on_active_edges, _scatter, edge_logs
 from mvgraph.fields import VertexFunction
 from mvgraph.graphs import WeightedGraph
 from mvgraph.manifolds import Spd
@@ -155,3 +155,23 @@ def test_spd2_kernels_match_matmul_forms(rng):
     _assert_close(d, ref_d)
     _assert_close(m.dist(x, y), spd_matmul.dist(x, y))
     _assert_close(m.exp(x, ref_logs), spd_matmul.exp(x, ref_logs))
+
+
+def test_scatter_of_symmetric_terms_is_the_nine_column_sum(rng):
+    # the six upper columns, mirrored, give the sum of all nine exactly
+    g = random_symmetric_graph(rng, 40)
+    f = VertexFunction(Spd(3), random_point(Spd(3), rng, 40))
+    logs, _ = edge_logs(g, f)
+    terms = -rng.uniform(0.1, 1.0, size=g.n_edges)[:, None, None] * logs
+
+    def nine(t):
+        return np.stack([np.bincount(g.src, weights=t[:, i, j],
+                                     minlength=g.n_vertices)
+                         for i in range(3) for j in range(3)],
+                        axis=1).reshape(-1, 3, 3)
+
+    assert np.array_equal(terms, terms.transpose(0, 2, 1))
+    assert np.array_equal(_scatter(g, terms), nine(terms))
+    # terms that are not symmetric are summed entry by entry
+    terms[:, 0, 1] += 1.0
+    assert np.array_equal(_scatter(g, terms), nine(terms))
