@@ -17,7 +17,6 @@ from mvgraph.cli import main
 N_CASES = 40
 BUDGET_S = 5.0
 
-
 DENOISE = ["--model", "aniso", "--p", "1", "--lambda", "0.1", "--dt", "1e-2",
            "--max-iters", "20"]
 # generate arguments, build-graph arguments and denoise arguments per kind;

@@ -426,6 +426,21 @@ def test_explicit_step_never_halves_dt():
                                      halve_dt_on_injectivity=True))
 
 
+def test_antipodal_datum_is_never_halved_away():
+    # the first sweep overshoots both vertices from 3 to pi, antipodal to
+    # their datum 0: the fidelity log of that iterate is undefined, and
+    # halving dt would only hide it
+    c = Circle()
+    g = path_graph([1.0])
+    f0 = VertexFunction(c, np.zeros((2, 1)))
+    init = VertexFunction(c, np.full((2, 1), 3.0))
+    with pytest.raises(InjectivityError,
+                       match="fidelity term undefined at vertex 0"):
+        solve(g, f0, cfg(lam=1.0, dt=(3.0 + np.pi) / 3.0, max_iters=3,
+                         stop_tol=0.0, halve_dt_on_injectivity=True),
+              init=init)
+
+
 def test_halving_retry_reuses_the_sweeps_residual(monkeypatch):
     # the dt_trace instance below, one sweep retried once at dt/2
     calls = []
