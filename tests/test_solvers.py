@@ -520,8 +520,7 @@ def test_spd_sweep_decomposes_each_matrix_once(rng, monkeypatch):
     f = VertexFunction(m, random_point(m, rng, 40))
     n, half = g.n_vertices, g.n_edges // 2
     # a sweep with its edge pass: the roots x^{+-1/2}, the mid matrices of
-    # the edges and of the fidelity term, and the exp (five passes over the
-    # vertices before the roots were shared)
+    # the edges and of the fidelity term, and the exp
     sweep = n + half + 2 * n
     for step in (explicit_step, jacobi_step):
         matrices.clear()
