@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InjectivityError
-from .fields import TangentEdgeFunction, TangentVertexField, VertexFunction
+from .fields import (TangentEdgeFunction, TangentVertexField, VertexFunction,
+                     _joint)
 
 EPS_SMOOTH_DEFAULT = 1e-7
 
@@ -47,29 +48,17 @@ def _expand(arr, point_shape):
 
 
 def _scatter(graph, terms):
-    """Sum per-edge scalar or tangent ``terms`` over each vertex's out-edges.
-
-    Symmetric (m, k, k) terms (Spd tangents) are summed over their upper
-    triangle and mirrored: k(k+1)/2 passes instead of k^2.
-    """
+    """Sum per-edge ``terms``, scalars (m,) or component rows (k, m), over
+    each vertex's out-edges: one ``bincount`` per row, (n,) or (k, n)."""
     n = graph.n_vertices
-    shape = terms.shape[1:]
-    flat = terms.reshape(terms.shape[0], math.prod(shape))
-    cols = [(j, j) for j in range(flat.shape[1])]
-    if len(shape) == 2 and shape[0] == shape[1]:
-        k = shape[0]
-        upper = [(i * k + j, j * k + i) for i in range(k) for j in range(i, k)]
-        if all(np.array_equal(flat[:, a], flat[:, b])
-               for a, b in upper if a != b):
-            cols = upper
-    out = np.empty((n, flat.shape[1]))
-    for a, b in cols:
-        out[:, a] = out[:, b] = np.bincount(graph.src, weights=flat[:, a],
-                                            minlength=n)
-    return out.reshape((n,) + shape)
+    flat = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
+    out = np.empty((flat.shape[0], n))
+    for row, term in zip(out, flat):
+        row[:] = np.bincount(graph.src, weights=term, minlength=n)
+    return out.reshape(terms.shape[:-1] + (n,))
 
 
-def _check_pair(graph, f: VertexFunction):
+def _check_pair(graph, f):
     if f.n_vertices != graph.n_vertices:
         raise DomainError(
             f"vertex function has {f.n_vertices} entries for a graph with "
@@ -91,16 +80,19 @@ def _reraise_with_edge(err: InjectivityError, src, dst):
         "the log map is undefined there", vertex=u, neighbor=v) from None
 
 
-def _on_active_edges(graph, f: VertexFunction, op, edges=slice(None)):
+def _on_active_edges(graph, f, op, edges=slice(None)):
     """Evaluate ``op(src, dst, sel, rev)`` on the active edges among
     ``edges`` (a slice of the edge list; all of it by default).
 
-    An edge is active when both its endpoints are.  ``src``/``dst`` are the
-    endpoints of the active edges, ``sel`` selects their rows from per-edge
-    arrays and ``rev`` is the reverse edge index among them (the reverse of
-    an active edge is active; -1 when absent), or None for a part of the
-    edge list.  Each array ``op`` returns (one, or a tuple) is spread over
-    ``edges`` with zeros on inactive edges.
+    ``f`` is a vertex function, in points or in rows; only its mask is
+    read.  An edge is active when both its endpoints are.  ``src``/``dst``
+    are the endpoints of the active edges, ``sel`` selects their entries
+    from per-edge arrays (along the first axis of point-layout arrays) and
+    ``rev`` is the reverse edge index among them (the reverse of an active
+    edge is active; -1 when absent), or None for a part of the edge list.
+    Each array ``op`` returns (one, or a tuple) is spread along its last
+    axis, the batch axis of scalars and of component rows, over ``edges``
+    with zeros on inactive edges.
     """
     src, dst = graph.src[edges], graph.dst[edges]
     rev = graph.reverse_edge_index if edges == slice(None) else None
@@ -115,28 +107,35 @@ def _on_active_edges(graph, f: VertexFunction, op, edges=slice(None)):
     res = op(src[keep], dst[keep], idx, rev)
     outs = []
     for r in res if isinstance(res, tuple) else (res,):
-        full = np.zeros((src.size,) + r.shape[1:])
-        full[keep] = r
+        full = np.zeros(r.shape[:-1] + (src.size,))
+        full[..., keep] = r
         outs.append(full)
     return tuple(outs) if isinstance(res, tuple) else outs[0]
 
 
-def edge_logs(graph, f: VertexFunction, state=None):
+def edge_logs(graph, f: VertexFunction):
     """Per-edge logs ``log_{f(u)} f(v)`` and geodesic distances.
 
     Entries for edges with an inactive endpoint are zero.  Returns the pair
     ``(logs, dists)`` with shapes ``(m,) + point_shape`` and ``(m,)``.
     Raises InjectivityError naming the edge when an active edge joins
-    values beyond the injectivity bound; this pass is the admissibility
-    check of every iterate.  ``state`` is the point state of f from
-    ``_edge_pass``, when the caller has it.
+    values beyond the injectivity bound.
     """
+    logs, d = _edge_logs(graph, f._to_rows())
+    return f.manifold._points(logs, (graph.n_edges,)), d
+
+
+def _edge_logs(graph, f, state=None):
+    """``edge_logs`` of the row function f, the logs as component rows
+    (k, m); this pass is the admissibility check of every iterate.
+    ``state`` is the point state of f from ``_edge_pass``, when the caller
+    has it."""
     _check_pair(graph, f)
 
     def op(src, dst, sel, rev):
         try:
-            return f.manifold.edge_log_and_dist(f.values, src, dst, rev,
-                                                state)
+            return f.manifold._edge_log_and_dist_rows(f.rows, src, dst, rev,
+                                                      state)
         except InjectivityError as err:
             _reraise_with_edge(err, src, dst)
     return _on_active_edges(graph, f, op)
@@ -167,11 +166,14 @@ def directional_derivative(graph, f: VertexFunction, u: int, v: int):
     """
     _check_pair(graph, f)
     e = graph.edge_index(u, v)
+    m = f.manifold
     if e < 0:
-        return np.zeros(f.manifold.point_shape)
-    lg = _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.log(
-        f.values[src], f.values[dst]), slice(e, e + 1))
-    return np.sqrt(graph.weight[e]) * lg[0]
+        return np.zeros(m.point_shape)
+    lg = _on_active_edges(
+        graph, f, lambda src, dst, sel, _: m._log_and_dist_rows(
+            m._rows(f.values[src]), m._rows(f.values[dst]))[0],
+        slice(e, e + 1))
+    return np.sqrt(graph.weight[e]) * m._points(lg, (1,))[0]
 
 
 def gradient(graph, f: VertexFunction) -> TangentEdgeFunction:
@@ -182,10 +184,12 @@ def gradient(graph, f: VertexFunction) -> TangentEdgeFunction:
 
 
 def _div_terms(graph, f: VertexFunction, H: TangentEdgeFunction):
-    """Per-edge summands of ``divergence``, zero on inactive edges:
+    """Per-edge summands of ``divergence`` as component rows (k, m), zero
+    on inactive edges:
     ``1/2 (sqrt(w(v,u)) PT_{f(v)->f(u)} H(v,u) - sqrt(w(u,v)) H(u,v))``,
     the transported reverse term only where the reverse edge exists."""
-    ps = f.manifold.point_shape
+    m = f.manifold
+    ps = m.point_shape
 
     def op(src, dst, sel, rev):
         h = H.values[sel]
@@ -193,9 +197,8 @@ def _div_terms(graph, f: VertexFunction, H: TangentEdgeFunction):
         t = -sw * h
         j = np.flatnonzero(rev >= 0)
         r = rev[j]
-        t[j] += sw[r] * f.manifold.transport(f.values[dst[j]],
-                                             f.values[src[j]], h[r])
-        return 0.5 * t
+        t[j] += sw[r] * m.transport(f.values[dst[j]], f.values[src[j]], h[r])
+        return m._rows(0.5 * t)
     return _on_active_edges(graph, f, op)
 
 
@@ -204,7 +207,8 @@ def divergence(graph, f: VertexFunction, H: TangentEdgeFunction
     """Adjoint-style divergence of an edge function (see module docstring)."""
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    return TangentVertexField(f, _scatter(graph, _div_terms(graph, f, H)))
+    return TangentVertexField(f, f.manifold._points(
+        _scatter(graph, _div_terms(graph, f, H)), (f.n_vertices,)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +264,8 @@ def grad_div_identity(graph, f: VertexFunction, H: TangentEdgeFunction):
     logs, _ = edge_logs(graph, f)
     grad = _expand(graph.sqrt_weight, f.manifold.point_shape) * logs
     lhs = float(np.sum(_edge_inners(graph, f, grad, H.values)))
-    rhs = -float(np.sum(_edge_inners(graph, f, logs,
-                                     _div_terms(graph, f, H))))
+    div = f.manifold._points(_div_terms(graph, f, H), (graph.n_edges,))
+    rhs = -float(np.sum(_edge_inners(graph, f, logs, div)))
     return lhs, rhs
 
 
@@ -277,7 +281,7 @@ def symmetric_map(graph, f: VertexFunction, g: VertexFunction) -> float:
     if g.manifold != f.manifold:
         raise DomainError("symmetric map requires a common manifold")
     # both functions, restricted to the vertices active in both
-    mask = f._joint_mask(g)
+    mask = _joint(f.mask, g.mask)
     f, g = (VertexFunction(h.manifold, h.values, mask, validate=False)
             for h in (f, g))
     lf, lg = edge_logs(graph, f)[0], edge_logs(graph, g)[0]
@@ -353,10 +357,11 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
 
 
 class _Pass(NamedTuple):
-    """What the operators read from one vertex function f, each computed
-    once: its point state (``Manifold.point_state`` on the active vertices;
-    None off Spd), its edge logs and distances, and its fidelity logs and
-    distances to the data (None when lam = 0)."""
+    """What the operators read from one row function f, each computed
+    once: its point state (``Manifold._point_state_rows`` on the active
+    vertices; None off Spd), its edge logs (component rows) and distances,
+    and its fidelity logs (component rows) and distances to the data (None
+    when lam = 0)."""
 
     state: np.ndarray | None
     logs: np.ndarray
@@ -365,36 +370,44 @@ class _Pass(NamedTuple):
     data_d: np.ndarray | None
 
 
-def _edge_pass(graph, f: VertexFunction):
-    """The point state of f and its edge pass, ``(state, logs, d)``.  The
-    state covers the active vertices only: a masked placeholder need not be
-    a point of the manifold."""
-    state = f._on_active(f.manifold.point_state)
-    return (state, *edge_logs(graph, f, state))
+def _edge_pass(graph, f):
+    """The point state of the row function f and its edge pass,
+    ``(state, logs, d)``.  The state covers the active vertices only."""
+    state = f._on_active(f.manifold._point_state_rows)
+    return (state, *_edge_logs(graph, f, state))
 
 
-def _iterate_pass(graph, f: VertexFunction, f0, lam, edges=None):
-    """The ``_Pass`` of f, completing its ``_edge_pass`` when given;
-    ``f0`` is read only when ``lam > 0``."""
+def _iterate_pass(graph, f, f0, lam, edges=None):
+    """The ``_Pass`` of the row function f, completing its ``_edge_pass``
+    when given; the row function ``f0`` is read only when ``lam > 0``."""
     state, logs, d = _edge_pass(graph, f) if edges is None else edges
     data = _data_logs(f, f0, state) if lam > 0 else (None, None)
     return _Pass(state, logs, d, *data)
 
 
-def _residual(graph, f: VertexFunction, lam, p, model, eps_smooth, it):
+def _residual(graph, f, lam, p, model, eps_smooth, it):
     """Residual ``R = -sum_v b(u,v) log_{f(u)} f(v) - lam log_{f(u)} f0(u)``
-    and the edge coefficients ``b``, from the pass ``it`` of f
-    (``_iterate_pass``).
+    as component rows (k, n), and the edge coefficients ``b``, from the
+    pass ``it`` of the row function f (``_iterate_pass``).
 
     With ``lam = 0`` this is the p-Laplacian of the model.
     """
     if p <= 0:
         raise DomainError("p must be positive")
     b = _edge_coefficients(graph, f, it.d, model, p, eps_smooth)
-    R = _scatter(graph, -_expand(b, f.manifold.point_shape) * it.logs)
+    R = _scatter(graph, -b * it.logs)
     if lam > 0:
         R -= lam * it.data_logs
     return R, b
+
+
+def _residual_field(graph, f: VertexFunction, f0, lam, p, model, eps_smooth):
+    """``_residual`` of the vertex function f as a tangent field: f (and
+    f0, read only when ``lam > 0``) converted to rows once, R back once."""
+    fr = f._to_rows()
+    R, _ = _residual(graph, fr, lam, p, model, eps_smooth, _iterate_pass(
+        graph, fr, f0._to_rows() if lam > 0 else None, lam))
+    return TangentVertexField(f, f.manifold._points(R, (f.n_vertices,)))
 
 
 def aniso_p_laplacian(graph, f: VertexFunction, p: float,
@@ -407,9 +420,7 @@ def aniso_p_laplacian(graph, f: VertexFunction, p: float,
     On symmetric graphs this is ``div`` of the flux
     ``||grad f(u,v)||^{p-2} grad f(u,v)``.
     """
-    R, _ = _residual(graph, f, 0.0, p, "aniso", eps_smooth,
-                     _iterate_pass(graph, f, None, 0.0))
-    return TangentVertexField(f, R)
+    return _residual_field(graph, f, None, 0.0, p, "aniso", eps_smooth)
 
 
 def iso_p_laplacian(graph, f: VertexFunction, p: float,
@@ -423,9 +434,7 @@ def iso_p_laplacian(graph, f: VertexFunction, p: float,
     symmetric weights this equals ``divergence`` of the flux
     ``alpha_u grad f(u, v)``; at p = 2 it equals the anisotropic operator.
     """
-    R, _ = _residual(graph, f, 0.0, p, "iso", eps_smooth,
-                     _iterate_pass(graph, f, None, 0.0))
-    return TangentVertexField(f, R)
+    return _residual_field(graph, f, None, 0.0, p, "iso", eps_smooth)
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +485,12 @@ def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
                    f.dists_to(f0))
 
 
-def _data_logs(f: VertexFunction, f0: VertexFunction, state=None):
-    """``(log_{f(u)} f0(u), d(f(u), f0(u)))`` on jointly active vertices,
-    zeros elsewhere; ``state`` is the point state of f from ``_edge_pass``,
-    when the caller has it."""
+def _data_logs(f, f0, state=None):
+    """``(log_{f(u)} f0(u), d(f(u), f0(u)))`` of the row functions f and
+    f0 on jointly active vertices, zeros elsewhere; ``state`` is the point
+    state of f from ``_edge_pass``, when the caller has it."""
     try:
-        return f._on_active(f.manifold.log_and_dist, f0.values, state,
+        return f._on_active(f.manifold._log_and_dist_rows, f0.rows, state,
                             other=f0)
     except InjectivityError as err:
         u = -1 if err.vertex is None else err.vertex
@@ -500,9 +509,7 @@ def residual(graph, f: VertexFunction, f0: VertexFunction, lam: float,
     symmetric weights; it is the defect the solvers drive to zero.
     """
     _check_model_args(f, f0, lam, p)
-    R, _ = _residual(graph, f, lam, p, model, eps_smooth,
-                     _iterate_pass(graph, f, f0, lam))
-    return TangentVertexField(f, R)
+    return _residual_field(graph, f, f0, lam, p, model, eps_smooth)
 
 
 def energy_gradient(graph, f: VertexFunction, f0: VertexFunction, lam: float,

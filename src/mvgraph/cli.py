@@ -95,7 +95,7 @@ def _cmd_build_graph(args):
 
 def _cmd_denoise(args):
     md = load_mvd(args.inp)
-    graph = load_edges_tsv(args.graph)
+    graph = load_edges_tsv(args.graph, md.function.n_vertices)
     cfg = SolverConfig(model=args.model, p=args.p, lam=args.lam, dt=args.dt,
                        eps_smooth=args.eps_smooth, max_iters=args.max_iters,
                        stop_tol=args.tol, scheme=args.scheme,

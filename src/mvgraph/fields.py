@@ -10,6 +10,10 @@ do not satisfy the manifold invariants.
 Tangent data comes in two flavours mirroring the function spaces of the
 calculus: per-vertex fields (one tangent at each f(u)) and per-edge
 functions (one tangent at the start point f(u) of every directed edge).
+
+Inside a solve a vertex function is held in component rows (``_VertexRows``,
+the layout of ``manifolds``), and ``_VertexRows._on_active`` is where the
+active vertices are selected.
 """
 
 from __future__ import annotations
@@ -72,48 +76,28 @@ class VertexFunction:
         if other.n_vertices != self.n_vertices:
             raise DomainError(f"functions with different vertex counts: "
                               f"{self.n_vertices} vs {other.n_vertices}")
-        mask = self._joint_mask(other)
+        mask = _joint(self.mask, other.mask)
         if mask is None:
             return self.manifold.dist(self.values, other.values)
         return self.manifold.dist(self.values[mask], other.values[mask])
 
-    def _joint_mask(self, other):
-        """Mask of the vertices active in both functions (None: all are)."""
-        if self.mask is None or other.mask is None:
-            return other.mask if self.mask is None else self.mask
-        return self.mask & other.mask
+    def _to_rows(self) -> "_VertexRows":
+        """This function in component rows, the layout of a solve."""
+        m = self.manifold
+        return _VertexRows(m, _rows_of(m, self.values, self.mask), self.mask)
 
-    def _on_active(self, op, *arrays, other=None, fill=None):
-        """``op(values, *arrays)`` on the active vertices only.
-
-        The vertices are those active here (and in ``other``, when given);
-        ``arrays`` hold one row per vertex (None passes through).  Each
-        array ``op`` returns (one, a tuple of them, or None) is spread over
-        all vertices with zero rows elsewhere; the first takes the rows of
-        ``fill`` there instead, when given.  An InjectivityError's
-        ``vertex`` is renumbered to the full vertex list.  Unmasked, ``op``
-        runs on the full arrays and its result is returned as it is.
-        """
-        mask = self.mask if other is None else self._joint_mask(other)
+    def _with_rows(self, rows) -> "VertexFunction":
+        """A copy whose active vertices take their values from the
+        component rows (k, n); inactive vertices keep their stored values
+        byte for byte (a placeholder need not survive a conversion)."""
+        m = self.manifold
+        mask = None if self.mask is None else self.mask.copy()
         if mask is None:
-            return op(self.values, *arrays)
-        idx = np.flatnonzero(mask)
-        try:
-            res = op(self.values[idx],
-                     *(None if a is None else a[idx] for a in arrays))
-        except InjectivityError as err:
-            if err.vertex is not None:
-                err.vertex = int(idx[err.vertex])
-            raise
-        if res is None:
-            return None
-        outs = []
-        for r in res if isinstance(res, tuple) else (res,):
-            out = (np.zeros((self.n_vertices,) + r.shape[1:], r.dtype)
-                   if fill is None or outs else fill.copy())
-            out[idx] = r
-            outs.append(out)
-        return tuple(outs) if isinstance(res, tuple) else outs[0]
+            values = m._points(rows, (self.n_vertices,))
+        else:
+            values = self.values.copy()
+            values[mask] = m._points(rows[:, mask], (int(mask.sum()),))
+        return VertexFunction(m, values, mask, validate=False)
 
     def check_points(self):
         """Validate the manifold invariants on all active vertices."""
@@ -153,8 +137,8 @@ class TangentVertexField:
 
     def max_norm(self) -> float:
         """Largest norm over the active vertices (0 when none is active)."""
-        norms = self.base._on_active(self.manifold.norm, self.values)
-        return float(np.max(norms, initial=0.0))
+        f = self.base._to_rows()
+        return f.max_norm(_rows_of(f.manifold, self.values, f.mask))
 
 
 @dataclass(eq=False)
@@ -176,3 +160,84 @@ class TangentEdgeFunction:
     @property
     def manifold(self) -> Manifold:
         return self.base.manifold
+
+
+def _joint(a, b):
+    """Mask of the vertices active in both masks (None: all are)."""
+    if a is None or b is None:
+        return b if a is None else a
+    return a & b
+
+
+def _rows_of(manifold, values, mask):
+    """Component rows (k, n) of per-vertex ``values`` (``Manifold._rows``),
+    their shape checked.  Only the active columns are converted: a
+    placeholder need not be a point, so inactive columns hold zeros."""
+    values = manifold._check_shape(values)
+    if mask is None:
+        return manifold._rows(values)
+    active = manifold._rows(values[mask])
+    rows = np.zeros(active.shape[:1] + mask.shape)
+    rows[:, mask] = active
+    return rows
+
+
+@dataclass(eq=False)
+class _VertexRows:
+    """A vertex function in component rows, the layout in which a solve
+    runs: ``rows`` is the (k, n) array of ``Manifold._rows``, one row per
+    component and the vertex axis last, with zero columns at inactive
+    vertices; ``mask`` as in :class:`VertexFunction`."""
+
+    manifold: Manifold
+    rows: np.ndarray
+    mask: np.ndarray | None = None
+
+    @property
+    def n_vertices(self) -> int:
+        return self.rows.shape[-1]
+
+    def with_rows(self, rows) -> "_VertexRows":
+        """Same manifold and mask, new rows."""
+        return _VertexRows(self.manifold, rows, self.mask)
+
+    def _on_active(self, op, *arrays, other=None, fill=None):
+        """``op(rows, *arrays)`` on the columns of the active vertices only.
+
+        The vertices are those active here (and in ``other``, when given);
+        ``arrays`` hold one column per vertex, the vertex axis last (None
+        passes through).  Each array ``op`` returns (one, a tuple of them,
+        or None) is spread along its last axis over all vertices, with zero
+        columns elsewhere; the first takes the columns of ``fill`` there
+        instead, when given.  An InjectivityError's ``vertex`` is
+        renumbered to the full vertex list.  Unmasked, ``op`` runs on the
+        full arrays and its result is returned as it is.
+        """
+        mask = self.mask if other is None else _joint(self.mask, other.mask)
+        if mask is None:
+            return op(self.rows, *arrays)
+        idx = np.flatnonzero(mask)
+        try:
+            res = op(np.take(self.rows, idx, axis=-1),
+                     *(None if a is None else np.take(a, idx, axis=-1)
+                       for a in arrays))
+        except InjectivityError as err:
+            if err.vertex is not None:
+                err.vertex = int(idx[err.vertex])
+            raise
+        if res is None:
+            return None
+        outs = []
+        for r in res if isinstance(res, tuple) else (res,):
+            out = (np.zeros(r.shape[:-1] + (self.n_vertices,), r.dtype)
+                   if fill is None or outs else fill.copy())
+            out[..., idx] = r
+            outs.append(out)
+        return tuple(outs) if isinstance(res, tuple) else outs[0]
+
+    def max_norm(self, v, state=None) -> float:
+        """Largest ``||v||`` of the tangent rows v over the active vertices
+        (0 when none is active); ``state`` is the point state, when the
+        caller has it."""
+        norms = self._on_active(self.manifold._norm_rows, v, state)
+        return float(np.max(norms, initial=0.0))

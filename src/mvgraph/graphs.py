@@ -441,11 +441,14 @@ def save_edges_tsv(path, graph: WeightedGraph):
                 graph.weight[a:b].tolist())))
 
 
-def load_edges_tsv(path) -> WeightedGraph:
+def load_edges_tsv(path, n_vertices=None) -> WeightedGraph:
     """Read a graph written by save_edges_tsv.
 
     Blank lines are skipped.  A malformed line raises FormatError naming
-    its line in the file.
+    its line in the file.  When ``n_vertices`` is given, a header with
+    another vertex count raises FormatError before the body is read.  A
+    header count above the largest endpoint is legal: the vertices past it
+    are isolated.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -453,10 +456,13 @@ def load_edges_tsv(path) -> WeightedGraph:
             m = _HEADER_RE.match(header)
             if not m:
                 raise FormatError(f"bad edge-list header: {header!r}")
+            n = int(m.group(1))
+            if n_vertices is not None and n != n_vertices:
+                raise FormatError(f"edge list is for n={n} vertices, the "
+                                  f"data has {n_vertices}")
             lines = fh.read().split("\n")
     except UnicodeDecodeError as err:
         raise FormatError(f"edge list is not UTF-8 text: {err}") from err
-    n = int(m.group(1))
     symmetric = m.group(2) == "1"
     edges = _parse_rows(lines, 2, _EDGE_ROW,
                         "'u\\tv\\tw' with integer u and v")

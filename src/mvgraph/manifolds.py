@@ -14,6 +14,17 @@ vectors are numpy arrays whose trailing axes carry ``point_shape`` and whose
 leading axes are arbitrary batch axes.  A single point is a batch with no
 leading axes.
 
+The kernels a solver sweep calls (``point_state``, ``log_and_dist``,
+``exp_and_norm``, ``edge_log_and_dist`` and ``norm``) are written once, on
+component rows: a batch of N points or tangents is one contiguous (k, N)
+array, one row per component and the batch axis last.  k is 1 for the
+circle, 3 for the sphere, m for ``Euclidean(m)`` and n(n+1)/2 for
+``Spd(n)`` (see the block comment on component arrays).  A solve converts
+its iterate and data to rows once (``Manifold._rows``) and the result back
+once (``Manifold._points``), and calls the private ``_..._rows`` kernels in
+between.  Each public method is one conversion in, the row kernel, and one
+conversion out.
+
 Conventions:
 
 * ``log`` raises :class:`~mvgraph.errors.InjectivityError` when the target
@@ -29,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -77,14 +88,18 @@ def _wrap_in_place(a):
     return a
 
 
-# -- symmetric matrices on component arrays ---------------------------------
+# -- component arrays -------------------------------------------------------
 #
-# The Spd kernels hold a batch of N symmetric n x n matrices as one (k, N)
-# array of its k = n(n+1)/2 distinct entries, the batch axis last, so that
-# each entry is a contiguous row: the diagonal first, then the upper triangle
-# by rows; for n = 3 the rows are (00, 11, 22, 01, 02, 12).  Products that
-# need every entry use the (n, n, N) grid of the same rows.  Arithmetic on
-# these rows runs at the speed of plain vector code, where a batched 3 x 3
+# The row kernels hold a batch of N points or tangents as one (k, N) array,
+# the batch axis last, so that each component is a contiguous row.  On the
+# circle, the sphere and Euclidean(m) the components are the coordinates
+# (k = 1, 3, m): a dot product is x[0]*y[0] + x[1]*y[1] + x[2]*y[2], which
+# adds in the order a reduction over a length-3 axis does.  A symmetric
+# n x n matrix has k = n(n+1)/2 distinct entries: the diagonal first, then
+# the upper triangle by rows; for n = 3 the rows are (00, 11, 22, 01, 02,
+# 12).  Spd products that need every entry use the (n, n, N) grid of the
+# same rows.  Arithmetic on these rows runs at the speed of plain vector
+# code, where a reduction over a short trailing axis, a batched 3 x 3
 # ``matmul`` or a strided view of an (N, 3, 3) array does not.
 
 
@@ -169,9 +184,24 @@ def _frobenius(a, b):
     return ab[:n].sum(axis=0) + 2.0 * ab[n:].sum(axis=0)
 
 
-def _per_matrix(d, batch):
-    """Per-matrix values in the batch shape; a numpy scalar for one matrix."""
+def _per_point(d, batch):
+    """Per-point values in the batch shape; a numpy scalar for one point."""
     return d.reshape(batch)[()]
+
+
+def _broadcast(rows, shape, batch):
+    """Rows (k, N) over the batch ``shape``, broadcast to ``batch`` and
+    flattened."""
+    if shape == batch:
+        return rows
+    r = rows.reshape(rows.shape[:1] + (1,) * (len(batch) - len(shape))
+                     + shape)
+    return np.broadcast_to(r, r.shape[:1] + batch).reshape(rows.shape[0], -1)
+
+
+def _dot(a, b):
+    """Row-wise dot product of two (3, N) arrays."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _blockwise(fn, *cols):
@@ -296,7 +326,15 @@ def _null_vector(a, lam):
 
 
 class Manifold:
-    """Base class; concrete geometries fill in the kernel operations."""
+    """Base class; concrete geometries fill in the kernel operations.
+
+    The sweep kernels are the private ``_point_state_rows``,
+    ``_log_and_dist_rows``, ``_exp_and_norm_rows``,
+    ``_edge_log_and_dist_rows`` and ``_norm_rows``, on component rows (see
+    the module docstring); they check no shapes.  The public methods of the
+    same names convert their operands once (``_batch_rows``, which checks
+    the shapes) and the result back once (``_points``).
+    """
 
     kind: str
     point_shape: tuple
@@ -307,58 +345,120 @@ class Manifold:
     def params(self) -> dict:
         return {}
 
+    # -- component rows ----------------------------------------------------
+
+    def _rows(self, x):
+        """Component rows (k, N) of points or tangents ``x`` of shape
+        ``(..., *point_shape)``, N the flattened batch size: here the
+        coordinates, one row each."""
+        return np.ascontiguousarray(
+            x.reshape(-1, prod(self.point_shape)).T)
+
+    def _points(self, rows, batch):
+        """The ``batch + point_shape`` array of component rows (k, N)."""
+        return np.ascontiguousarray(rows.T).reshape(batch + self.point_shape)
+
+    def _batch_rows(self, *arrays, first=None):
+        """The component rows of ``arrays`` (points or tangents), broadcast
+        to their joint batch shape, and that shape.  ``first`` maps the rows
+        of the first array before they are broadcast."""
+        arrays = [self._check_shape(a, "operand") for a in arrays]
+        shapes = [a.shape[:a.ndim - len(self.point_shape)] for a in arrays]
+        batch = np.broadcast_shapes(*shapes)
+        rows = [self._rows(a) for a in arrays]
+        if first is not None:
+            rows[0] = first(rows[0])
+        return ([_broadcast(r, s, batch) for r, s in zip(rows, shapes)],
+                batch)
+
+    # -- row kernels -------------------------------------------------------
+
+    def _point_state_rows(self, x):
+        """Per-point work that the row kernels can share between calls at
+        the same base points x, one column per point; None where there is
+        none to share."""
+        return None
+
+    def _log_and_dist_rows(self, x, y, state=None):
+        """``(log_x y, dist(x, y))`` on rows; ``state`` is
+        ``_point_state_rows(x)`` or None."""
+        raise NotImplementedError
+
+    def _exp_and_norm_rows(self, x, v, state=None):
+        """``(exp_x v, dist(x, exp_x v))`` on rows, sharing intermediate
+        work.  The distance is the length of the geodesic step, ``||v||_x``,
+        where every geodesic is minimizing (infinite injectivity radius);
+        the compact geometries wrap it into [0, pi]."""
+        raise NotImplementedError
+
+    def _norm_rows(self, x, v, state=None):
+        """``||v||_x`` on rows: the flat metric of the coordinates here."""
+        return np.sqrt(np.maximum(np.sum(v * v, axis=0), 0.0))
+
+    def _edge_log_and_dist_rows(self, p, src, dst, rev, state=None):
+        """``_log_and_dist_rows`` of the columns ``src`` and ``dst`` of the
+        point rows ``p``, over a batch of edges.
+
+        ``rev[i]`` is the batch position of the reverse of edge ``i``, or -1
+        when it is not in the batch; ``state`` is ``_point_state_rows(p)``
+        or None (its columns are read only at ``src``).  Geometries that
+        can share work between edges with a common source, or between an
+        edge and its reverse, override this.
+        """
+        return self._log_and_dist_rows(np.take(p, src, axis=1),
+                                       np.take(p, dst, axis=1))
+
     # -- kernel operations -------------------------------------------------
 
     def dist(self, x, y):
         raise NotImplementedError
 
     def exp(self, x, v):
-        raise NotImplementedError
+        return self.exp_and_norm(x, v)[0]
 
-    def exp_and_norm(self, x, v, state=None):
-        """Return ``(exp_x v, dist(x, exp_x v))`` sharing intermediate work.
-
-        The distance is the length of the geodesic step, ``||v||_x``, where
-        every geodesic is minimizing (infinite injectivity radius); the
-        compact geometries wrap it into [0, pi].  ``state`` is
-        ``point_state(x)`` or None.
-        """
-        return self.exp(x, v), self.norm(x, v)
+    def exp_and_norm(self, x, v):
+        """Return ``(exp_x v, dist(x, exp_x v))`` sharing intermediate work
+        (``_exp_and_norm_rows``)."""
+        (x, v), batch = self._batch_rows(x, v)
+        y, t = self._exp_and_norm_rows(x, v)
+        return self._points(y, batch), _per_point(t, batch)
 
     def log(self, x, y):
         return self.log_and_dist(x, y)[0]
 
-    def log_and_dist(self, x, y, state=None):
-        """Return ``(log_x y, dist(x, y))`` sharing intermediate work;
-        ``state`` is ``point_state(x)`` or None."""
-        raise NotImplementedError
+    def log_and_dist(self, x, y):
+        """Return ``(log_x y, dist(x, y))`` sharing intermediate work."""
+        (x, y), batch = self._batch_rows(x, y)
+        v, d = self._log_and_dist_rows(x, y)
+        return self._points(v, batch), _per_point(d, batch)
 
     def point_state(self, x):
-        """Per-point work that ``log_and_dist``, ``exp_and_norm`` and
-        ``edge_log_and_dist`` can share between calls at the same base
-        points, one row per point; None where there is none to share."""
-        return None
+        """``_point_state_rows`` of the points x, one row per point (on Spd
+        the components of x^1/2 followed by those of x^-1/2); None where
+        there is none."""
+        (x,), batch = self._batch_rows(x)
+        state = self._point_state_rows(x)
+        return (None if state is None
+                else np.ascontiguousarray(state.T).reshape(
+                    batch + state.shape[:1]))
 
-    def edge_log_and_dist(self, points, src, dst, rev, state=None):
-        """``log_and_dist(points[src], points[dst])`` over a batch of edges.
-
-        ``rev[i]`` is the batch position of the reverse of edge ``i``, or -1
-        when it is not in the batch; ``state`` is ``point_state(points)``
-        or None (its rows are read only at ``src``).  Geometries that can
-        share work between edges with a common source, or between an edge
-        and its reverse, override this.
-        """
-        return self.log_and_dist(np.take(points, src, axis=0),
-                                 np.take(points, dst, axis=0))
+    def edge_log_and_dist(self, points, src, dst, rev):
+        """``log_and_dist(points[src], points[dst])`` over a batch of edges;
+        ``rev`` as in ``_edge_log_and_dist_rows``."""
+        (p,), _ = self._batch_rows(points)
+        v, d = self._edge_log_and_dist_rows(p, src, dst, rev)
+        return self._points(v, (np.size(src),)), d
 
     def transport(self, x, y, v):
         raise NotImplementedError
 
     def inner(self, x, u, v):
-        raise NotImplementedError
+        # the flat metric of the embedding coordinates; Spd overrides it
+        return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
 
     def norm(self, x, u):
-        return np.sqrt(np.maximum(self.inner(x, u, u), 0.0))
+        (x, u), batch = self._batch_rows(x, u)
+        return _per_point(self._norm_rows(x, u), batch)
 
     def random_tangent(self, x, sigma, rng):
         """Isotropic Gaussian tangent draw: E ||v||_x^2 = sigma^2 * intrinsic_dim."""
@@ -419,21 +519,15 @@ class Euclidean(Manifold):
         x, y = self._check_shape(x), self._check_shape(y)
         return np.linalg.norm(y - x, axis=-1)
 
-    def exp(self, x, v):
-        return np.asarray(x, dtype=np.float64) + v
+    def _log_and_dist_rows(self, x, y, state=None):
+        v = y - x
+        return v, np.sqrt(np.sum(v * v, axis=0))
 
-    def log(self, x, y):
-        return np.asarray(y, dtype=np.float64) - x
-
-    def log_and_dist(self, x, y, state=None):
-        v = self.log(x, y)
-        return v, np.linalg.norm(v, axis=-1)
+    def _exp_and_norm_rows(self, x, v, state=None):
+        return x + v, self._norm_rows(x, v)
 
     def transport(self, x, y, v):
         return np.array(v, dtype=np.float64, copy=True)
-
-    def inner(self, x, u, v):
-        return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
 
     def random_tangent(self, x, sigma, rng):
         x = self._check_shape(x)
@@ -461,25 +555,23 @@ class Circle(Manifold):
         return np.abs(d, out=d)[..., 0]
 
     def exp(self, x, v):
+        # the step of _exp_and_norm_rows on angles of any broadcastable
+        # shape, scalars too
         return _wrap_in_place(np.asarray(x, dtype=np.float64) + v)
 
-    def exp_and_norm(self, x, v, state=None):
-        t = wrap_angle(v)
-        return self.exp(x, v), np.abs(t, out=t)[..., 0]
+    def _exp_and_norm_rows(self, x, v, state=None):
+        t = wrap_angle(v[0])
+        return _wrap_in_place(x + v), np.abs(t, out=t)
 
-    def log_and_dist(self, x, y, state=None):
-        x, y = self._check_shape(x), self._check_shape(y)
+    def _log_and_dist_rows(self, x, y, state=None):
         v = _wrap_in_place(y - x)
-        d = np.abs(v)[..., 0]
+        d = np.abs(v[0])
         self._check_injective(d)
         return v, d
 
     def transport(self, x, y, v):
         # 1-d tangent spaces: parallel transport is the identity.
         return np.array(v, dtype=np.float64, copy=True)
-
-    def inner(self, x, u, v):
-        return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
 
     def random_tangent(self, x, sigma, rng):
         x = self._check_shape(x)
@@ -512,27 +604,21 @@ class Sphere2(Manifold):
         s = np.linalg.norm(c, axis=-1)
         return np.arctan2(s, np.sum(x * y, axis=-1))
 
-    def exp(self, x, v):
-        return self.exp_and_norm(x, v)[0]
-
-    def exp_and_norm(self, x, v, state=None):
-        x = self._check_shape(x)
-        v = self._check_shape(v, "tangent")
-        t = np.linalg.norm(v, axis=-1, keepdims=True)
+    def _exp_and_norm_rows(self, x, v, state=None):
+        t = np.sqrt(_dot(v, v))
         # sinc(t/pi) = sin(t)/t, finite at t = 0
         y = np.cos(t) * x + np.sinc(t / np.pi) * v
-        d = wrap_angle(t[..., 0])
-        return y / np.linalg.norm(y, axis=-1, keepdims=True), np.abs(d, out=d)
+        d = wrap_angle(t)
+        return y / np.sqrt(_dot(y, y)), np.abs(d, out=d)
 
-    def log_and_dist(self, x, y, state=None):
-        x, y = self._check_shape(x), self._check_shape(y)
-        dot = np.sum(x * y, axis=-1)
-        perp = y - dot[..., None] * x
-        pn = np.linalg.norm(perp, axis=-1)
+    def _log_and_dist_rows(self, x, y, state=None):
+        dot = _dot(x, y)
+        perp = y - dot * x
+        pn = np.sqrt(_dot(perp, perp))
         d = np.arctan2(pn, dot)
         self._check_injective(d)
         scale = np.where(pn > _TINY, d / np.where(pn > _TINY, pn, 1.0), 0.0)
-        return scale[..., None] * perp, d
+        return scale * perp, d
 
     def transport(self, x, y, v):
         x = self._check_shape(x)
@@ -548,9 +634,6 @@ class Sphere2(Manifold):
         out = np.where(d[..., None] > _TINY, out, v)
         # numerical hygiene: remove any normal component that crept in
         return out - np.sum(out * y, axis=-1, keepdims=True) * y
-
-    def inner(self, x, u, v):
-        return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
 
     def random_tangent(self, x, sigma, rng):
         x = self._check_shape(x)
@@ -583,11 +666,6 @@ def _roots(c):
     w, q = _eigh_sym(c)
     s = np.sqrt(np.maximum(w, EIG_CLAMP))
     return np.concatenate([_recompose(q, s), _recompose(q, 1.0 / s)])
-
-
-def _state_roots(state):
-    """The stacked root components (2k, N) of ``Spd.point_state`` rows."""
-    return np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
 
 
 def _log_mid(irt, y):
@@ -623,24 +701,22 @@ class Spd(Manifold):
     * log_y(x)     = -y x^-1/2 M x^1/2 and dist(y, x) = dist(x, y), with
       M = Log(x^-1/2 y x^-1/2) (Pennec, Fillard & Ayache 2006, "A
       Riemannian framework for tensor computing"): from log_x y = x Log(x^-1 y)
-      and Log(y^-1 x) = -Log(x^-1 y).  ``edge_log_and_dist`` fills the
-      reverse of each evaluated edge this way, so an edge pass costs one
+      and Log(y^-1 x) = -Log(x^-1 y).  ``_edge_log_and_dist_rows`` fills
+      the reverse of each evaluated edge this way, so an edge pass costs one
       eigendecomposition per distinct source vertex plus one per undirected
       edge.
     * dist(x, exp_x v) = ||v||_x = ||Lambda||_F for the eigenvalues Lambda
       of x^-1/2 v x^-1/2, which ``exp`` decomposes anyway.
 
-    ``point_state`` holds x^1/2 and x^-1/2; ``log_and_dist``,
-    ``exp_and_norm`` and ``edge_log_and_dist`` read the roots from it
-    instead of decomposing x again.
+    The point state holds x^1/2 and x^-1/2; the row kernels read the roots
+    from it instead of decomposing x again.
 
-    Each method converts its (..., n, n) operands once to component arrays:
-    one contiguous row per distinct entry, n(n+1)/2 rows with the batch
-    axis last (six for n = 3).  Eigenvalues and eigenvectors, f(Lambda)
-    recomposed, and the products above are sums of those rows, taken
-    ``_EIGH3_BLOCK`` rows at a time; the result is converted back once.
-    Every eigendecomposition goes through ``_eigh_sym``.  For n = 3 it is
-    a closed form (Smith's trigonometric eigenvalues, cross-product
+    The component rows of a matrix are its n(n+1)/2 distinct entries (six
+    for n = 3; ``_components``, ``_matrices``).  Eigenvalues and
+    eigenvectors, f(Lambda) recomposed, and the products above are sums of
+    those rows, taken ``_EIGH3_BLOCK`` columns at a time.  Every
+    eigendecomposition goes through ``_eigh_sym``.  For n = 3 it is a
+    closed form (Smith's trigonometric eigenvalues, cross-product
     eigenvectors) on the six rows; a matrix that is non-finite or zero, or
     whose eigenvalues are nearly repeated or nearly zero relative to its
     largest entry, goes to LAPACK instead (Kopp 2008).  Other sizes use
@@ -673,114 +749,98 @@ class Spd(Manifold):
     def params(self):
         return {"n": self.n}
 
-    # -- internal helpers --------------------------------------------------
+    # -- component rows ----------------------------------------------------
 
-    def _operands(self, x, *others, state=None):
-        """x^1/2, x^-1/2 (from ``state`` when given) and the components of
-        ``others``, broadcast to their joint batch shape and flattened, then
-        that batch shape."""
-        batch = np.broadcast_shapes(*(a.shape[:-2] for a in (x,) + others))
+    def _rows(self, x):
+        return _components(x)
 
-        def flat(c, shape):
-            c = c.reshape(c.shape[:1] + (1,) * (len(batch) - len(shape))
-                          + shape)
-            return np.broadcast_to(c, c.shape[:1] + batch).reshape(
-                c.shape[0], -1)
-        lead = x.shape[:-2]
-        roots = (_blockwise(_roots, _components(x)) if state is None
-                 else _state_roots(state))
-        rt, irt = np.split(roots, 2)
-        return (flat(rt, lead), flat(irt, lead),
-                *(flat(_components(a), a.shape[:-2]) for a in others), batch)
+    def _points(self, rows, batch):
+        return _matrices(rows, batch)
 
-    def point_state(self, x):
-        """x^1/2 and x^-1/2: one row per matrix, the components of x^1/2
-        followed by those of x^-1/2."""
-        x = self._check_shape(x)
-        roots = _blockwise(_roots, _components(x))
-        return roots.T.reshape(x.shape[:-2] + roots.shape[:1])
+    # -- row kernels -------------------------------------------------------
 
-    # -- kernel operations ---------------------------------------------
+    def _point_state_rows(self, x):
+        """x^1/2 and x^-1/2: the components of x^1/2 followed by those of
+        x^-1/2, 2k rows."""
+        return _blockwise(_roots, x)
 
-    def dist(self, x, y):
-        x, y = self._check_shape(x), self._check_shape(y)
-        _, irt, y, batch = self._operands(x, y)
-        d = _blockwise(lambda irt, y: np.sqrt(np.sum(
-            _log_mid(irt, y)[1] ** 2, axis=0)), irt, y)
-        return _per_matrix(d, batch)
+    def _split_state(self, x, state):
+        """x^1/2 and x^-1/2, from ``state`` when given."""
+        return np.split(self._point_state_rows(x) if state is None
+                        else state, 2)
 
-    def exp(self, x, v):
-        return self.exp_and_norm(x, v)[0]
+    def _log_and_dist_rows(self, x, y, state=None):
+        rt, irt = self._split_state(x, state)
+        return _blockwise(lambda *a: _log_block(*a)[:2], rt, irt, y)
 
-    def exp_and_norm(self, x, v, state=None):
-        x = self._check_shape(x)
-        v = self._check_shape(v, "tangent")
-        rt, irt, v, batch = self._operands(x, v, state=state)
+    def _exp_and_norm_rows(self, x, v, state=None):
+        rt, irt = self._split_state(x, state)
 
         def block(rt, irt, v):
             w, q = _eigh_sym(_congruence(irt, v))
             return (_congruence(rt, _recompose(q, np.exp(w))),
                     np.sqrt(np.sum(w * w, axis=0)))
-        y, t = _blockwise(block, rt, irt, v)
-        return _matrices(y, batch), _per_matrix(t, batch)
+        return _blockwise(block, rt, irt, v)
 
-    def log_and_dist(self, x, y, state=None):
-        x = self._check_shape(x)
-        y = self._check_shape(y)
-        rt, irt, y, batch = self._operands(x, y, state=state)
-        logs, d = _blockwise(lambda *a: _log_block(*a)[:2], rt, irt, y)
-        return _matrices(logs, batch), _per_matrix(d, batch)
+    def _norm_rows(self, x, v, state=None):
+        # ||v||_x^2 = <x^-1/2 v x^-1/2, x^-1/2 v x^-1/2>_F
+        def block(irt, v):
+            c = _congruence(irt, v)
+            return np.sqrt(np.maximum(_frobenius(c, c), 0.0))
+        return _blockwise(block, self._split_state(x, state)[1], v)
 
-    def edge_log_and_dist(self, points, src, dst, rev, state=None):
+    def _edge_log_and_dist_rows(self, p, src, dst, rev, state=None):
         """One ``_log_mid`` per undirected pair, with the roots of each
         source vertex read from ``state`` (or decomposed once per distinct
         source vertex); the reverse of an evaluated edge comes from the
         identity in the class docstring."""
-        points = self._check_shape(points)
         direct = np.flatnonzero((rev < 0) | (np.arange(src.size) < rev))
         at = src[direct]
         if state is None:
             verts, at = np.unique(at, return_inverse=True)
-            state = self.point_state(np.take(points, verts, axis=0))
-        roots = state.T
-        p = _components(points)
-        logs = np.empty((src.size,) + self.point_shape)
+            state = self._point_state_rows(np.take(p, verts, axis=1))
+        logs = np.empty((p.shape[0], src.size))
         d = np.empty(src.size)
         for a in range(0, direct.size, _EIGH3_BLOCK):
             e, v = direct[a:a + _EIGH3_BLOCK], at[a:a + _EIGH3_BLOCK]
-            rt_e, irt_e = np.split(np.take(roots, v, axis=1), 2)
+            rt_e, irt_e = np.split(np.take(state, v, axis=1), 2)
             y = np.take(p, dst[e], axis=1)
-            fwd, d[e], rm = _log_block(rt_e, irt_e, y)
-            logs[e] = _matrices(fwd, e.shape)
+            logs[:, e], d[e], rm = _log_block(rt_e, irt_e, y)
             pair = np.flatnonzero(rev[e] >= 0)
             # y x^-1/2 M x^1/2, with M x^1/2 the transpose of x^1/2 M
             back = _mul(_mul(_grid(y), _grid(irt_e)), rm.transpose(1, 0, 2))
-            logs[rev[e[pair]]] = -_matrices(
-                np.take(_symmetric_part(back), pair, axis=1), pair.shape)
+            logs[:, rev[e[pair]]] = -np.take(_symmetric_part(back), pair,
+                                             axis=1)
             d[rev[e[pair]]] = d[e[pair]]
         return logs, d
 
+    # -- kernel operations ---------------------------------------------
+
+    def dist(self, x, y):
+        (state, y), batch = self._batch_rows(x, y,
+                                             first=self._point_state_rows)
+        d = _blockwise(lambda irt, y: np.sqrt(np.sum(
+            _log_mid(irt, y)[1] ** 2, axis=0)), np.split(state, 2)[1], y)
+        return _per_point(d, batch)
+
     def transport(self, x, y, v):
         # e v e^T = x^1/2 E (x^-1/2 v x^-1/2) E x^1/2, E = Exp(Delta/2)
-        x = self._check_shape(x)
-        y = self._check_shape(y)
-        v = self._check_shape(v, "tangent")
-        rt, irt, y, v, batch = self._operands(x, y, v)
+        (state, y, v), batch = self._batch_rows(
+            x, y, v, first=self._point_state_rows)
 
         def block(rt, irt, y, v):
             mu, p = _eigh_sym(_congruence(irt, y))
             half = _recompose(p, np.sqrt(np.maximum(mu, EIG_CLAMP)))
             return _congruence(rt, _congruence(half, _congruence(irt, v)))
-        return _matrices(_blockwise(block, rt, irt, y, v), batch)
+        return _matrices(_blockwise(block, *np.split(state, 2), y, v), batch)
 
     def inner(self, x, u, v):
         # trace(x^-1 u x^-1 v) = <x^-1/2 u x^-1/2, x^-1/2 v x^-1/2>_F
-        x = self._check_shape(x)
-        u = self._check_shape(u, "tangent")
-        v = self._check_shape(v, "tangent")
-        _, irt, u, v, batch = self._operands(x, u, v)
-        return _per_matrix(_blockwise(lambda irt, u, v: _frobenius(
-            _congruence(irt, u), _congruence(irt, v)), irt, u, v), batch)
+        (state, u, v), batch = self._batch_rows(
+            x, u, v, first=self._point_state_rows)
+        return _per_point(_blockwise(lambda irt, u, v: _frobenius(
+            _congruence(irt, u), _congruence(irt, v)),
+            np.split(state, 2)[1], u, v), batch)
 
     def random_tangent(self, x, sigma, rng):
         # s = g + g^T with g ~ N(0, (sigma/2)^2) iid gives Var(s_ii) = sigma^2
@@ -788,8 +848,10 @@ class Spd(Manifold):
         # draw is isotropic w.r.t. the affine-invariant metric at x.
         x = self._check_shape(x)
         g = rng.normal(0.0, sigma / 2.0, size=x.shape)
-        rt, _, s, batch = self._operands(x, g + np.swapaxes(g, -1, -2))
-        return _matrices(_blockwise(_congruence, rt, s), batch)
+        (state, s), batch = self._batch_rows(
+            x, g + np.swapaxes(g, -1, -2), first=self._point_state_rows)
+        return _matrices(_blockwise(_congruence, np.split(state, 2)[0], s),
+                         batch)
 
     def check_point(self, x):
         x = self._check_shape(x)

@@ -108,9 +108,12 @@ def load_mvd(path) -> MvdFile:
 
     if isinstance(manifold, Spd):
         act = slice(None) if mask is None else mask
-        sym = 0.5 * (values[act] + np.swapaxes(values[act], -1, -2))
-        asym = np.max(np.abs(values[act] - np.swapaxes(values[act], -1, -2)),
-                      initial=0.0)
+        # inf - inf is NaN here, and the invariant check below rejects it
+        with np.errstate(invalid="ignore"):
+            sym = 0.5 * (values[act] + np.swapaxes(values[act], -1, -2))
+            asym = np.max(np.abs(values[act]
+                                 - np.swapaxes(values[act], -1, -2)),
+                          initial=0.0)
         if asym > Spd.SYM_TOL:
             raise FormatError(
                 f"spd payload asymmetry {asym:.3e} exceeds {Spd.SYM_TOL:g}")

@@ -27,6 +27,12 @@ JACOBI_RESIDUAL_FACTOR * lam * stop_tol`` at that iterate, and with
 ``reason="stalled"`` otherwise.  The explicit change is ``dt * ||R||`` at a
 fixed dt, so the change test alone bounds its residual.
 
+The sweep runs on component rows (``manifolds``: one contiguous row per
+component, the vertex axis last; six rows for an Spd(3) matrix): ``solve``
+converts the iterate and the data to rows once when it starts, and the
+result back once when it ends, writing only the active vertices into a copy
+of the start values.  Each public step converts once in and once out.
+
 One sweep function serves ``solve``, ``explicit_step`` and ``jacobi_step``:
 it computes ``R`` and the step direction once from the current iterate's
 pass, takes the exponential, checks that the new iterate is finite at its
@@ -52,10 +58,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (EPS_SMOOTH_DEFAULT, _edge_pass, _energy, _expand,
+from .calculus import (EPS_SMOOTH_DEFAULT, _edge_pass, _energy,
                        _iterate_pass, _residual, _scatter)
 from .errors import ConfigError, DivergenceError, DomainError, InjectivityError
-from .fields import TangentVertexField, VertexFunction
+from .fields import VertexFunction
 from .graphs import WeightedGraph
 
 JACOBI_MIN_LAM = 1e-6
@@ -153,7 +159,8 @@ def _diverging(label):
 
 
 def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
-    """One sweep of ``scheme`` from ``f``, as ``(new, new_it, dt, change)``.
+    """One sweep of ``scheme`` from the row function ``f`` (data ``f0``,
+    in rows too), as ``(new, new_it, dt, change)``.
 
     ``it`` is the ``_iterate_pass`` of ``f``, and ``new_it`` that of
     ``new``.  A public step passes none and gets none back; it checks the
@@ -166,7 +173,7 @@ def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
     check_new = not public or np.isfinite(f.manifold.injectivity_radius)
 
     def finite_exp(x, v, state):
-        y, t = f.manifold.exp_and_norm(x, v, state)
+        y, t = f.manifold._exp_and_norm_rows(x, v, state)
         if np.isfinite(y).all():
             return y, t
         raise DivergenceError(f"{label} diverged: its iterate is not finite")
@@ -177,16 +184,15 @@ def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
         R, b = _residual(graph, f, cfg.lam, cfg.p, cfg.model, cfg.eps_smooth,
                          it)
         if scheme == "jacobi":
-            direction = -R / _expand(cfg.lam + _scatter(graph, b),
-                                     f.manifold.point_shape)
+            direction = -R / (cfg.lam + _scatter(graph, b))
         else:
             direction = -R
         del R, b    # freed before the new edge pass, the sweep's peak
         dt = cfg.dt
         for _ in range(_MAX_HALVINGS):
             step = direction if scheme == "jacobi" else dt * direction
-            values, t = f._on_active(finite_exp, step, it.state, fill=f.values)
-            new = f.with_values(values)
+            rows, t = f._on_active(finite_exp, step, it.state, fill=f.rows)
+            new = f.with_rows(rows)
             try:
                 edges = _edge_pass(graph, new) if check_new else None
                 break
@@ -211,7 +217,7 @@ def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
     Raises an injectivity error when the update leaves the admissible set.
     (Not validated against the config: ``dt = 0`` is the exact identity.)
     """
-    return _sweep("explicit step", graph, f, f0, cfg, "explicit")[0]
+    return _public_step("explicit step", graph, f, f0, cfg, "explicit")
 
 
 def jacobi_step(graph, f: VertexFunction, f0: VertexFunction,
@@ -222,7 +228,14 @@ def jacobi_step(graph, f: VertexFunction, f0: VertexFunction,
     """
     if cfg.lam <= 0:
         raise ConfigError("jacobi_step requires lam > 0")
-    return _sweep("jacobi step", graph, f, f0, cfg, "jacobi")[0]
+    return _public_step("jacobi step", graph, f, f0, cfg, "jacobi")
+
+
+def _public_step(label, graph, f, f0, cfg, scheme):
+    """``_sweep`` from the vertex function f: f and f0 converted to rows
+    once, the new iterate converted back once."""
+    new = _sweep(label, graph, f._to_rows(), f0._to_rows(), cfg, scheme)[0]
+    return f._with_rows(new.rows)
 
 
 def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
@@ -236,15 +249,17 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
     if f0.n_vertices != graph.n_vertices:
         raise DomainError("data length does not match the graph")
     if init is None:
-        f = f0.copy()
+        start = f0
     else:
         if init.manifold != f0.manifold or init.n_vertices != f0.n_vertices:
             raise DomainError("init must match the data's manifold and size")
-        f = VertexFunction(f0.manifold, init.values.copy(),
-                           None if f0.mask is None else f0.mask.copy(),
-                           validate=False)
+        start = VertexFunction(f0.manifold, init.values, f0.mask,
+                               validate=False)
+    # the sweeps run on component rows, converted once here and once back
+    f = start._to_rows()
+    data = f if init is None else f0._to_rows()
 
-    it = _iterate_pass(graph, f, f0, cfg.lam)
+    it = _iterate_pass(graph, f, data, cfg.lam)
     etrace = None
     if cfg.record_energy:
         etrace = [_energy(graph, cfg.lam, cfg.p, cfg.model, it.d, it.data_d)]
@@ -253,7 +268,7 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
     dts = []
     reason = "max_iters"
     for k in range(1, int(cfg.max_iters) + 1):
-        f, it, dt, change = _sweep(f"sweep {k}", graph, f, f0, cfg,
+        f, it, dt, change = _sweep(f"sweep {k}", graph, f, data, cfg,
                                    cfg.scheme, it,
                                    cfg.halve_dt_on_injectivity)
         changes.append(change)
@@ -266,7 +281,7 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
             break
 
     R, _ = _residual(graph, f, cfg.lam, cfg.p, cfg.model, cfg.eps_smooth, it)
-    rmax = TangentVertexField(f, R).max_norm()
+    rmax = f.max_norm(R, it.state)
     if (reason == "converged" and cfg.scheme == "jacobi"
             and rmax > JACOBI_RESIDUAL_FACTOR * cfg.lam * cfg.stop_tol):
         reason = "stalled"
@@ -277,4 +292,4 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
                          energy_trace=etrace,
                          residual_max=rmax,
                          reason=reason)
-    return f, report
+    return start._with_rows(f.rows), report

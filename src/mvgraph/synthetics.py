@@ -72,10 +72,11 @@ def add_noise(f: VertexFunction, spec: NoiseSpec) -> VertexFunction:
         return f.copy()
     rng = np.random.default_rng(spec.rng_seed)
     m = f.manifold
-    out = f._on_active(lambda x: m.exp(x, m.random_tangent(x, spec.sigma, rng)),
-                       fill=f.values)
-    return VertexFunction(m, out, None if f.mask is None else f.mask.copy(),
-                          validate=False)
+
+    def noisy(x):
+        xi = m.random_tangent(m._points(x, x.shape[1:]), spec.sigma, rng)
+        return m._exp_and_norm_rows(x, m._rows(xi))[0]
+    return f._with_rows(f._to_rows()._on_active(noisy))
 
 
 def mse(f: VertexFunction, g: VertexFunction) -> float:

@@ -270,14 +270,14 @@ def test_grad_div_identity(manifold, rng):
 
 
 def test_grad_div_identity_makes_one_edge_pass(rng):
-    # Euclidean transport takes no log, so every log_and_dist row comes
-    # from edge passes: both sides of the identity share one
+    # Euclidean transport takes no log, so every row of the log kernel
+    # comes from edge passes: both sides of the identity share one
     rows = []
 
     class CountingEuclidean(Euclidean):
-        def log_and_dist(self, x, y):
-            rows.append(len(x))
-            return super().log_and_dist(x, y)
+        def _log_and_dist_rows(self, x, y, state=None):
+            rows.append(x.shape[-1])
+            return super()._log_and_dist_rows(x, y, state)
 
     e = CountingEuclidean(2)
     g = grid_graph(4, 4)

@@ -348,6 +348,35 @@ def test_denoise_oversized_vertex_count_exits_3(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("delta", [-1, 1], ids=["smaller", "larger"])
+def test_denoise_checks_the_edge_header_vertex_count(delta, tmp_path,
+                                                     capsys):
+    _, noisy, graph = _small_problem(tmp_path)
+    n = load_mvd(noisy).function.n_vertices
+    head, body = graph.read_text().split("\n", 1)
+    assert head.startswith(f"# mvgraph-edges v1 n={n} ")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(head.replace(f"n={n}", f"n={n + delta}") + "\n" + body)
+    capsys.readouterr()
+    assert run("denoise", "--in", noisy, "--graph", bad,
+               "--out", tmp_path / "o.mvd") == 3
+    err = capsys.readouterr().err
+    assert err == f"error: edge list is for n={n + delta} vertices, the data has {n}\n"
+
+
+def test_denoise_accepts_isolated_vertices_past_the_last_edge(tmp_path):
+    # the header counts every vertex; the last one has no edge
+    _, noisy, graph = _small_problem(tmp_path)
+    g = load_edges_tsv(graph)
+    keep = (g.src != g.n_vertices - 1) & (g.dst != g.n_vertices - 1)
+    lines = graph.read_text().splitlines()
+    graph.write_text("\n".join([lines[0]] + [ln for ln, k in zip(
+        lines[1:], keep) if k]) + "\n")
+    assert load_edges_tsv(graph).n_edges == int(keep.sum())
+    assert run("denoise", "--in", noisy, "--graph", graph, "--lambda", 1,
+               "--max-iters", 3, "--out", tmp_path / "o.mvd") == 0
+
+
 def test_denoise_overflowing_dt_exits_3_without_warnings(tmp_path, capsys):
     src = tmp_path / "w.mvd"
     run("generate", "--kind", "s2whirl", "--shape", 8, 8, "--out", src)

@@ -1,10 +1,13 @@
 """Seeded malformed-input sweep: ``denoise`` and ``eval`` on damaged copies
-of a valid ``.mvd`` and its graph TSV exit 0, 2 or 3 with a one-line
-message, never with a traceback or a numpy warning.  The inputs are an
-8 x 8 phase image (circle) and an 8 x 8 whirl (sphere2), each with its
-grid graph, and 60 SPD(3) samples on the sphere with their epsilon-ball
-graph."""
+of a valid ``.mvd`` and its graph TSV, and ``noise``, ``build-graph --kind
+knn-patch`` and ``export`` on the damaged ``.mvd``, exit 0, 2 or 3 with a
+one-line message, never with a traceback or a numpy warning.  The inputs
+are an 8 x 8 phase image (circle) and an 8 x 8 whirl (sphere2), each with
+its grid graph, and 60 SPD(3) samples on the sphere with their
+epsilon-ball graph.  Besides damaged bytes and values, a payload is read
+under the header of another manifold kind."""
 
+import json
 import struct
 import time
 import warnings
@@ -69,6 +72,25 @@ def _set_value(rng, blob, value):
     return head + bytes(body)
 
 
+# (kind, params, floats per vertex) of the headers a payload is read under
+SWAPS = (("circle", {}, 1), ("sphere2", {}, 3), ("spd", {"n": 3}, 9),
+         ("euclidean", {"m": 1}, 1), ("euclidean", {"m": 3}, 3))
+
+
+def _swap_kind(rng, blob):
+    """The payload under the header of another manifold kind, its vertex
+    count the one the payload holds for that kind where that divides."""
+    head, _, body = blob.partition(b"\n")
+    header = json.loads(head)
+    swaps = [s for s in SWAPS if s[0] != header["manifold"]]
+    kind, params, per_vertex = swaps[int(rng.integers(0, len(swaps)))]
+    floats = len(body) // 8
+    if floats % per_vertex == 0:
+        header["shape"] = [floats // per_vertex]
+    header.update(manifold=kind, params=params)
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
+
+
 def _tsv_token(rng, blob, token):
     lines = blob.split(b"\n")
     k = int(rng.integers(1, len(lines) - 1))
@@ -95,6 +117,7 @@ def _cases(mvd, tsv):
         yield f"value {out!r}", "mvd", _set_value(rng, mvd, out)
         yield "edit mvd header", "mvd", _edit_byte(
             rng, mvd[:mvd.index(b"\n")]) + mvd[mvd.index(b"\n"):]
+        yield "manifold kind swap", "mvd", _swap_kind(rng, mvd)
 
 
 def test_damaged_inputs_fail_cleanly(valid, tmp_path, capsys):
@@ -103,9 +126,20 @@ def test_damaged_inputs_fail_cleanly(valid, tmp_path, capsys):
         bad = tmp_path / f"bad{i}.{which}"
         bad.write_bytes(blob)
         data, graph = (bad, tsv) if which == "mvd" else (mvd, bad)
-        for argv in (["denoise", "--in", data, "--graph", graph, *denoise,
-                      "--out", tmp_path / "out.mvd"],
-                     ["eval", "--a", data, "--b", mvd]):
+        readers = [["denoise", "--in", data, "--graph", graph, *denoise,
+                    "--out", tmp_path / "out.mvd"],
+                   ["eval", "--a", data, "--b", mvd]]
+        if which == "mvd":
+            readers += [["noise", "--in", data, "--sigma", "0.2",
+                         "--out", tmp_path / "noisy.mvd"],
+                        ["build-graph", "--kind", "knn-patch", "--k", "4",
+                         "--patch", "1", "--in", data,
+                         "--out", tmp_path / "knn.tsv"],
+                        ["export", "--in", data, "--format", "csv",
+                         "--out", tmp_path / "out.csv"],
+                        ["export", "--in", data, "--format", "ply",
+                         "--out", tmp_path / "out.ply"]]
+        for argv in readers:
             capsys.readouterr()
             t0 = time.perf_counter()
             with warnings.catch_warnings(record=True) as caught:

@@ -116,6 +116,32 @@ def test_empty_batch_is_valid(manifold):
     assert VertexFunction(manifold, empty).n_vertices == 0
 
 
+@pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=lambda m: m.kind)
+def test_public_kernels_keep_the_point_layout(manifold, rng):
+    # each public kernel converts to component rows and back once: batch
+    # axes in front, broadcasting as numpy does
+    ps = manifold.point_shape
+    x = random_point(manifold, rng, 10).reshape((2, 5) + ps)
+    v = manifold.random_tangent(x, 0.2, rng)
+    y, t = manifold.exp_and_norm(x, v)
+    assert y.shape == x.shape and t.shape == (2, 5)
+    logs, d = manifold.log_and_dist(x, y)
+    np.testing.assert_allclose(logs, v, atol=1e-10)
+    np.testing.assert_allclose(d, t, atol=1e-10)
+    np.testing.assert_allclose(manifold.norm(x, v), t, atol=1e-10)
+    one = manifold.exp_and_norm(x[1, 2], v)
+    every = manifold.exp_and_norm(np.broadcast_to(x[1, 2], x.shape), v)
+    assert all(np.array_equal(a, b) for a, b in zip(one, every))
+    state = manifold.point_state(x)
+    if isinstance(manifold, Spd):
+        k = manifold.intrinsic_dim
+        assert state.shape == (2, 5, 2 * k)
+        rt = _matrices(state[..., :k].reshape(10, k).T, (2, 5))
+        np.testing.assert_allclose(rt @ rt, x, atol=1e-12)
+    else:
+        assert state is None
+
+
 def test_descriptor_mismatch_rejected():
     with pytest.raises(DomainError):
         Euclidean(3).dist([0.0, 0.0], [0.0, 0.0, 0.0])

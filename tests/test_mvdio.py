@@ -1,6 +1,7 @@
 """File-format tests: binary vertex-function files, CSV/TSV, and PLY export."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,20 @@ def test_spd_resymmetrization_policy(tmp_path):
     _make_file(p, _valid_header(Spd(2), 2), _payload(nonpd))
     with pytest.raises(FormatError):
         load_mvd(p)
+
+
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_spd_non_finite_entry_fails_without_warnings(bad, at, tmp_path):
+    # an infinite diagonal entry minus its own transpose is inf - inf
+    vals = np.stack([np.eye(2), np.eye(2)])
+    vals[(1,) + at] = bad
+    p = tmp_path / "spd.mvd"
+    _make_file(p, _valid_header(Spd(2), 2), _payload(vals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError):
+            load_mvd(p)
 
 
 def test_spd_masked_rows_not_validated(tmp_path):

@@ -15,7 +15,7 @@ from mvgraph.calculus import energy_aniso, energy_iso, residual
 from mvgraph.errors import ConfigError, DivergenceError, InjectivityError
 from mvgraph.fields import VertexFunction
 from mvgraph.graphs import WeightedGraph, grid_graph
-from mvgraph.manifolds import Circle, Euclidean, Spd, Sphere2
+from mvgraph.manifolds import Circle, Euclidean, Manifold, Spd, Sphere2
 from mvgraph.solvers import SolverConfig, explicit_step, jacobi_step, solve
 
 
@@ -470,9 +470,9 @@ def test_solve_makes_one_edge_pass_per_iterate(rng):
     rows = []
 
     class CountingSphere2(Sphere2):
-        def log_and_dist(self, x, y):
-            rows.append(len(x))
-            return super().log_and_dist(x, y)
+        def _log_and_dist_rows(self, x, y, state=None):
+            rows.append(x.shape[-1])
+            return super()._log_and_dist_rows(x, y, state)
 
         def dist(self, x, y):
             rows.append(len(x))
@@ -492,13 +492,13 @@ def test_solve_makes_one_edge_pass_per_iterate(rng):
 
 def test_explicit_step_on_flat_data_makes_one_edge_pass(rng, monkeypatch):
     calls = []
-    edge_logs = mvgraph.calculus.edge_logs
+    edge_logs = mvgraph.calculus._edge_logs
 
     def counting(graph, f, state=None):
         calls.append(f)
         return edge_logs(graph, f, state)
 
-    monkeypatch.setattr(mvgraph.calculus, "edge_logs", counting)
+    monkeypatch.setattr(mvgraph.calculus, "_edge_logs", counting)
     g = grid_graph(4, 4)
     f0 = VertexFunction(Euclidean(2), rng.normal(size=(16, 2)))
     explicit_step(g, f0, f0, cfg(lam=0.5))
@@ -531,8 +531,87 @@ def test_spd_sweep_decomposes_each_matrix_once(rng, monkeypatch):
         solve(g, f0, cfg(scheme="jacobi", lam=1.0, max_iters=k,
                          stop_tol=0.0), init=f)
         # the start iterate's pass takes no exp, and the norm of the final
-        # residual takes the roots of the returned iterate once more
-        assert sum(matrices) <= (k + 1) * sweep
+        # residual reads the roots of the returned iterate from its pass
+        assert sum(matrices) <= (k + 1) * sweep - n
+
+
+@pytest.mark.parametrize("manifold", [Sphere2(), Spd(3)], ids=str)
+def test_solve_checks_shapes_once(manifold, rng, monkeypatch):
+    calls = []
+    check = Manifold._check_shape
+
+    def counting(self, arr, *args):
+        calls.append(np.shape(arr))
+        return check(self, arr, *args)
+
+    monkeypatch.setattr(Manifold, "_check_shape", counting)
+    g = random_symmetric_graph(rng, 20)
+    f0 = clustered_vertex_function(manifold, rng, 20, spread=0.5)
+    counts = []
+    for k in (1, 20):
+        calls.clear()
+        solve(g, f0, cfg(scheme="jacobi", lam=1.0, max_iters=k,
+                         stop_tol=0.0))
+        counts.append(len(calls))
+    # the data's rows serve as the start iterate: one check, not per sweep
+    assert counts == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the row layout of a solve
+# ---------------------------------------------------------------------------
+
+def _layout_case(manifold, masked, rng, n=16):
+    g = random_symmetric_graph(rng, n)
+    mask = np.arange(n) % 5 != 2 if masked else None
+    f0 = clustered_vertex_function(manifold, rng, n, spread=0.6, mask=mask)
+    init = clustered_vertex_function(manifold, rng, n, spread=0.6, mask=mask)
+    return g, f0, init
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+@pytest.mark.parametrize("manifold", [Euclidean(3), Circle(), Sphere2(),
+                                      Spd(3)], ids=lambda m: m.kind)
+@pytest.mark.parametrize("scheme,lam", [("explicit", 0.0),
+                                        ("explicit", 0.8), ("jacobi", 0.8)])
+def test_solve_matches_chained_public_steps(manifold, masked, scheme, lam,
+                                            rng):
+    # a public step converts to rows and back on every call, solve once:
+    # the conversions are exact, so the iterates agree bit for bit
+    g, f0, init = _layout_case(manifold, masked, rng)
+    c = cfg(scheme=scheme, p=1.0, lam=lam, dt=0.05, max_iters=5,
+            stop_tol=0.0)
+    step = jacobi_step if scheme == "jacobi" else explicit_step
+    f = init
+    for _ in range(c.max_iters):
+        f = step(g, f, f0, c)
+    out, rep = solve(g, f0, c, init=init)
+    assert rep.iterations == c.max_iters
+    assert np.array_equal(out.values, f.values)
+
+
+@pytest.mark.parametrize("manifold,placeholder", [
+    (Sphere2(), np.nan), (Spd(3), 0.0), (Spd(3), "asymmetric")],
+    ids=["sphere2-nan", "spd-zero", "spd-asymmetric"])
+def test_masked_solve_returns_inactive_values_bytewise(manifold, placeholder,
+                                                       rng):
+    g, f0, _ = _layout_case(manifold, True, rng)
+    off = ~f0.mask
+    if placeholder == "asymmetric":
+        # no Spd point: its component rows would make it symmetric
+        f0.values[off] = np.arange(9.0).reshape(3, 3) - 4.0
+    else:
+        f0.values[off] = placeholder
+    before = f0.values.copy()
+    for scheme in ("explicit", "jacobi"):
+        out, _ = solve(g, f0, cfg(scheme=scheme, p=1.0, lam=0.8, dt=0.05,
+                                  max_iters=3, stop_tol=0.0))
+        assert out.values[off].tobytes() == before[off].tobytes()
+        assert np.all(np.isfinite(out.values[f0.mask]))
+        step = jacobi_step if scheme == "jacobi" else explicit_step
+        f = step(g, f0, f0, cfg(lam=0.8, dt=0.05))
+        assert f.values[off].tobytes() == before[off].tobytes()
+    assert f0.values.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])

@@ -12,7 +12,7 @@ from conftest import random_point, random_symmetric_graph
 from mvgraph.calculus import _on_active_edges, _scatter, edge_logs
 from mvgraph.fields import VertexFunction
 from mvgraph.graphs import WeightedGraph
-from mvgraph.manifolds import Spd
+from mvgraph.manifolds import Spd, _components, _matrices
 
 RTOL = 1e-13
 
@@ -108,9 +108,12 @@ def test_edge_pass_matches_matmul_form(manifold, case, rng):
         values[~mask] = np.nan
     f = VertexFunction(manifold, values, mask)
     logs, d = edge_logs(g, f)
+    # _on_active_edges spreads along the last (batch) axis
     ref_logs, ref_d = _on_active_edges(
-        g, f, lambda src, dst, sel, rev: spd_matmul.edge_log_and_dist(
-            f.values, src, dst, rev))
+        g, f, lambda src, dst, sel, rev: tuple(
+            np.moveaxis(a, 0, -1) for a in spd_matmul.edge_log_and_dist(
+                f.values, src, dst, rev)))
+    ref_logs = np.moveaxis(ref_logs, -1, 0)
     act = f.active[g.src] & f.active[g.dst]
     assert np.all(logs[~act] == 0.0) and np.all(d[~act] == 0.0)
     _assert_close(logs[act], ref_logs[act])
@@ -158,7 +161,7 @@ def test_spd2_kernels_match_matmul_forms(rng):
 
 
 def test_scatter_of_symmetric_terms_is_the_nine_column_sum(rng):
-    # the six upper columns, mirrored, give the sum of all nine exactly
+    # the six component rows give the sum of all nine entries exactly
     g = random_symmetric_graph(rng, 40)
     f = VertexFunction(Spd(3), random_point(Spd(3), rng, 40))
     logs, _ = edge_logs(g, f)
@@ -171,7 +174,9 @@ def test_scatter_of_symmetric_terms_is_the_nine_column_sum(rng):
                         axis=1).reshape(-1, 3, 3)
 
     assert np.array_equal(terms, terms.transpose(0, 2, 1))
-    assert np.array_equal(_scatter(g, terms), nine(terms))
-    # terms that are not symmetric are summed entry by entry
+    assert np.array_equal(_matrices(_scatter(g, _components(terms)),
+                                    (g.n_vertices,)), nine(terms))
+    # terms that are not symmetric are summed entry by entry, as nine rows
     terms[:, 0, 1] += 1.0
-    assert np.array_equal(_scatter(g, terms), nine(terms))
+    rows = terms.reshape(g.n_edges, 9).T
+    assert np.array_equal(_scatter(g, rows).T.reshape(-1, 3, 3), nine(terms))
