@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, InjectivityError
 from .fields import (TangentEdgeFunction, TangentVertexField, VertexFunction,
-                     _joint)
+                     _joint, _spread)
 
 EPS_SMOOTH_DEFAULT = 1e-7
 
@@ -41,11 +41,6 @@ EPS_SMOOTH_DEFAULT = 1e-7
 # ---------------------------------------------------------------------------
 # shape and aggregation helpers
 # ---------------------------------------------------------------------------
-
-def _expand(arr, point_shape):
-    """Append singleton axes so a per-edge scalar broadcasts over tangents."""
-    return np.asarray(arr).reshape(np.shape(arr) + (1,) * len(point_shape))
-
 
 def _scatter(graph, terms):
     """Sum per-edge ``terms``, scalars (m,) or component rows (k, m), over
@@ -84,33 +79,25 @@ def _on_active_edges(graph, f, op, edges=slice(None)):
     """Evaluate ``op(src, dst, sel, rev)`` on the active edges among
     ``edges`` (a slice of the edge list; all of it by default).
 
-    ``f`` is a vertex function, in points or in rows; only its mask is
-    read.  An edge is active when both its endpoints are.  ``src``/``dst``
-    are the endpoints of the active edges, ``sel`` selects their entries
-    from per-edge arrays (along the first axis of point-layout arrays) and
-    ``rev`` is the reverse edge index among them (the reverse of an active
-    edge is active; -1 when absent), or None for a part of the edge list.
-    Each array ``op`` returns (one, or a tuple) is spread along its last
-    axis, the batch axis of scalars and of component rows, over ``edges``
-    with zeros on inactive edges.
+    Per-edge arrays are scalars (m,) or component rows (k, m), the edge
+    axis last.  ``f`` is a vertex function; only its mask is read.  An
+    edge is active when both its endpoints are.  ``src``/``dst`` are the
+    endpoints of the active edges, ``sel`` selects their columns from
+    per-edge arrays over ``edges`` and ``rev`` is the reverse edge index
+    among them (the reverse of an active edge is active; -1 when absent),
+    or None for a part of the edge list.  Each array ``op`` returns (one,
+    or a tuple) is spread over ``edges``, with zeros on inactive edges.
     """
     src, dst = graph.src[edges], graph.dst[edges]
     rev = graph.reverse_edge_index if edges == slice(None) else None
     if f.mask is None:
-        return op(src, dst, edges, rev)
+        return op(src, dst, slice(None), rev)
     keep = np.flatnonzero(f.mask[src] & f.mask[dst])
-    idx = keep + (edges.start or 0)
     if rev is not None:
         pos = np.full(graph.n_edges, -1)
-        pos[idx] = np.arange(idx.size)
-        rev = np.where(rev[idx] >= 0, pos[rev[idx]], -1)
-    res = op(src[keep], dst[keep], idx, rev)
-    outs = []
-    for r in res if isinstance(res, tuple) else (res,):
-        full = np.zeros(r.shape[:-1] + (src.size,))
-        full[..., keep] = r
-        outs.append(full)
-    return tuple(outs) if isinstance(res, tuple) else outs[0]
+        pos[keep] = np.arange(keep.size)
+        rev = np.where(rev[keep] >= 0, pos[rev[keep]], -1)
+    return _spread(op(src[keep], dst[keep], keep, rev), keep, src.size)
 
 
 def edge_logs(graph, f: VertexFunction):
@@ -141,17 +128,19 @@ def _edge_logs(graph, f, state=None):
     return _on_active_edges(graph, f, op)
 
 
-def _edge_dists(graph, f: VertexFunction):
-    """Per-edge geodesic distances with zeros on inactive edges."""
+def _edge_dists(graph, f):
+    """Per-edge geodesic distances of the row function f, zero on inactive
+    edges."""
     _check_pair(graph, f)
-    return _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.dist(
-        f.values[src], f.values[dst]))
+    return _on_active_edges(graph, f, lambda src, dst, sel, _: (
+        f.manifold._dist_rows(f.rows[:, src], f.rows[:, dst])))
 
 
-def _edge_inners(graph, f: VertexFunction, A, B):
-    """Pointwise edge inner products, zero on inactive edges."""
-    return _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.inner(
-        f.values[src], A[sel], B[sel]))
+def _edge_inners(graph, f, A, B):
+    """Inner products at f(u) of the per-edge component rows A and B
+    (k, m), f a row function; zero on inactive edges."""
+    return _on_active_edges(graph, f, lambda src, dst, sel, _: (
+        f.manifold._inner_rows(f.rows[:, src], A[:, sel], B[:, sel])))
 
 
 # ---------------------------------------------------------------------------
@@ -173,32 +162,33 @@ def directional_derivative(graph, f: VertexFunction, u: int, v: int):
         graph, f, lambda src, dst, sel, _: m._log_and_dist_rows(
             m._rows(f.values[src]), m._rows(f.values[dst]))[0],
         slice(e, e + 1))
-    return np.sqrt(graph.weight[e]) * m._points(lg, (1,))[0]
+    return m._points(np.sqrt(graph.weight[e]) * lg, (1,))[0]
 
 
 def gradient(graph, f: VertexFunction) -> TangentEdgeFunction:
     """Edge function grad f(u, v) = sqrt(w(u, v)) log_{f(u)} f(v)."""
-    logs, _ = edge_logs(graph, f)
-    vals = _expand(graph.sqrt_weight, f.manifold.point_shape) * logs
-    return TangentEdgeFunction(graph, f, vals)
+    logs, _ = _edge_logs(graph, f._to_rows())
+    return TangentEdgeFunction(graph, f, f.manifold._points(
+        graph.sqrt_weight * logs, (graph.n_edges,)))
 
 
-def _div_terms(graph, f: VertexFunction, H: TangentEdgeFunction):
-    """Per-edge summands of ``divergence`` as component rows (k, m), zero
+def _div_terms(graph, f, h):
+    """Per-edge summands of ``divergence`` of the row function f and the
+    edge function with component rows h (k, m), as component rows, zero
     on inactive edges:
     ``1/2 (sqrt(w(v,u)) PT_{f(v)->f(u)} H(v,u) - sqrt(w(u,v)) H(u,v))``,
     the transported reverse term only where the reverse edge exists."""
     m = f.manifold
-    ps = m.point_shape
 
     def op(src, dst, sel, rev):
-        h = H.values[sel]
-        sw = _expand(graph.sqrt_weight[sel], ps)
-        t = -sw * h
+        hs = h[:, sel]
+        sw = graph.sqrt_weight[sel]
+        t = -sw * hs
         j = np.flatnonzero(rev >= 0)
         r = rev[j]
-        t[j] += sw[r] * m.transport(f.values[dst[j]], f.values[src[j]], h[r])
-        return m._rows(0.5 * t)
+        t[:, j] += sw[r] * m._transport_rows(f.rows[:, dst[j]],
+                                             f.rows[:, src[j]], hs[:, r])
+        return 0.5 * t
     return _on_active_edges(graph, f, op)
 
 
@@ -207,8 +197,10 @@ def divergence(graph, f: VertexFunction, H: TangentEdgeFunction
     """Adjoint-style divergence of an edge function (see module docstring)."""
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    return TangentVertexField(f, f.manifold._points(
-        _scatter(graph, _div_terms(graph, f, H)), (f.n_vertices,)))
+    m = f.manifold
+    terms = _div_terms(graph, f._to_rows(), m._rows(H.values))
+    return TangentVertexField(f, m._points(_scatter(graph, terms),
+                                           (f.n_vertices,)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +213,9 @@ def edge_inner(graph, f: VertexFunction, H: TangentEdgeFunction,
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
     _check_edge_fn(graph, K)
-    return float(np.sum(_edge_inners(graph, f, H.values, K.values)))
+    m = f.manifold
+    return float(np.sum(_edge_inners(graph, f._to_rows(), m._rows(H.values),
+                                     m._rows(K.values))))
 
 
 def edge_norm_pq(graph, f: VertexFunction, H: TangentEdgeFunction,
@@ -231,8 +225,9 @@ def edge_norm_pq(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("edge norm exponents must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    norms = _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.norm(
-        f.values[src], H.values[sel]))
+    fr, h = f._to_rows(), f.manifold._rows(H.values)
+    norms = _on_active_edges(graph, fr, lambda src, dst, sel, _: (
+        f.manifold._norm_rows(fr.rows[:, src], h[:, sel])))
     S = _scatter(graph, norms ** q)
     return float(((2.0 / p) * np.sum(S ** (p / q))) ** (1.0 / p))
 
@@ -244,8 +239,11 @@ def local_variation(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("variation exponent must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    norms = _on_active_edges(graph, f, lambda src, dst, sel, _: f.manifold.norm(
-        f.values[src], H.values[sel]), graph.out_edges(u))
+    # only the out-edges of u and their endpoints are converted to rows
+    edges = graph.out_edges(u)
+    m, h = f.manifold, H.values[edges]
+    norms = _on_active_edges(graph, f, lambda src, dst, sel, _: m._norm_rows(
+        m._rows(f.values[src]), m._rows(h[sel])), edges)
     return float(np.sum(norms ** q) ** (1.0 / q))
 
 
@@ -261,11 +259,11 @@ def grad_div_identity(graph, f: VertexFunction, H: TangentEdgeFunction):
     _check_edge_fn(graph, H)
     if np.any(graph.reverse_edge_index < 0):
         raise DomainError("the identity requires a symmetric edge set")
-    logs, _ = edge_logs(graph, f)
-    grad = _expand(graph.sqrt_weight, f.manifold.point_shape) * logs
-    lhs = float(np.sum(_edge_inners(graph, f, grad, H.values)))
-    div = f.manifold._points(_div_terms(graph, f, H), (graph.n_edges,))
-    rhs = -float(np.sum(_edge_inners(graph, f, logs, div)))
+    fr, h = f._to_rows(), f.manifold._rows(H.values)
+    logs, _ = _edge_logs(graph, fr)
+    lhs = float(np.sum(_edge_inners(graph, fr, graph.sqrt_weight * logs, h)))
+    rhs = -float(np.sum(_edge_inners(graph, fr, logs,
+                                     _div_terms(graph, fr, h))))
     return lhs, rhs
 
 
@@ -282,21 +280,23 @@ def symmetric_map(graph, f: VertexFunction, g: VertexFunction) -> float:
         raise DomainError("symmetric map requires a common manifold")
     # both functions, restricted to the vertices active in both
     mask = _joint(f.mask, g.mask)
-    f, g = (VertexFunction(h.manifold, h.values, mask, validate=False)
-            for h in (f, g))
-    lf, lg = edge_logs(graph, f)[0], edge_logs(graph, g)[0]
+    f, g = (VertexFunction(h.manifold, h.values, mask,
+                           validate=False)._to_rows() for h in (f, g))
+    lf, lg = _edge_logs(graph, f)[0], _edge_logs(graph, g)[0]
     m = f.manifold
-    return float(np.sum(_on_active_edges(
-        graph, f, lambda src, dst, sel, _: m.inner(
-            f.values[src], lf[sel],
-            m.transport(g.values[src], f.values[src], lg[sel])))))
+
+    def op(src, dst, sel, _):
+        x = f.rows[:, src]
+        return m._inner_rows(x, lf[:, sel], m._transport_rows(
+            g.rows[:, src], x, lg[:, sel]))
+    return float(np.sum(_on_active_edges(graph, f, op)))
 
 
 def vertex_norm_p(graph, f: VertexFunction, p: float) -> float:
     """Unweighted vertex p-norm: (sum_u (sum_v d(f(u),f(v))^2)^(p/2))^(1/p)."""
     if p <= 0:
         raise DomainError("vertex norm exponent must be positive")
-    d = _edge_dists(graph, f)
+    d = _edge_dists(graph, f._to_rows())
     S = _scatter(graph, d * d)
     return float(np.sum(S ** (p / 2.0)) ** (1.0 / p))
 
@@ -467,22 +467,25 @@ def _energy(graph, lam, p, model, d, d0):
     return float(fid + reg)
 
 
+def _model_energy(graph, f, f0, lam, p, model):
+    """``_energy`` of the vertex functions f and f0."""
+    _check_pair(graph, f)
+    _check_model_args(f, f0, lam, p)
+    fr = f._to_rows()
+    return _energy(graph, lam, p, model, _edge_dists(graph, fr),
+                   fr.dists_to(f0._to_rows()))
+
+
 def energy_aniso(graph, f: VertexFunction, f0: VertexFunction,
                  lam: float, p: float) -> float:
     """(lam/2) sum_u d(f,f0)^2 + (1/p) sum over directed edges (sqrt(w) d)^p."""
-    _check_pair(graph, f)
-    _check_model_args(f, f0, lam, p)
-    return _energy(graph, lam, p, "aniso", _edge_dists(graph, f),
-                   f.dists_to(f0))
+    return _model_energy(graph, f, f0, lam, p, "aniso")
 
 
 def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
                lam: float, p: float) -> float:
     """(lam/2) sum_u d(f,f0)^2 + (1/p) sum_u (sum_v w d^2)^(p/2)."""
-    _check_pair(graph, f)
-    _check_model_args(f, f0, lam, p)
-    return _energy(graph, lam, p, "iso", _edge_dists(graph, f),
-                   f.dists_to(f0))
+    return _model_energy(graph, f, f0, lam, p, "iso")
 
 
 def _data_logs(f, f0, state=None):

@@ -76,10 +76,7 @@ class VertexFunction:
         if other.n_vertices != self.n_vertices:
             raise DomainError(f"functions with different vertex counts: "
                               f"{self.n_vertices} vs {other.n_vertices}")
-        mask = _joint(self.mask, other.mask)
-        if mask is None:
-            return self.manifold.dist(self.values, other.values)
-        return self.manifold.dist(self.values[mask], other.values[mask])
+        return self._to_rows().dists_to(other._to_rows())
 
     def _to_rows(self) -> "_VertexRows":
         """This function in component rows, the layout of a solve."""
@@ -169,6 +166,22 @@ def _joint(a, b):
     return a & b
 
 
+def _spread(res, idx, n, fill=None):
+    """Each array of ``res`` (one, a tuple of them, or None) spread along
+    its last axis over n columns: its columns go to ``idx``, and the other
+    columns are zero, or for the first array those of ``fill`` when
+    given."""
+    if res is None:
+        return None
+    outs = []
+    for r in res if isinstance(res, tuple) else (res,):
+        out = (np.zeros(r.shape[:-1] + (n,), r.dtype)
+               if fill is None or outs else fill.copy())
+        out[..., idx] = r
+        outs.append(out)
+    return tuple(outs) if isinstance(res, tuple) else outs[0]
+
+
 def _rows_of(manifold, values, mask):
     """Component rows (k, n) of per-vertex ``values`` (``Manifold._rows``),
     their shape checked.  Only the active columns are converted: a
@@ -225,15 +238,13 @@ class _VertexRows:
             if err.vertex is not None:
                 err.vertex = int(idx[err.vertex])
             raise
-        if res is None:
-            return None
-        outs = []
-        for r in res if isinstance(res, tuple) else (res,):
-            out = (np.zeros(r.shape[:-1] + (self.n_vertices,), r.dtype)
-                   if fill is None or outs else fill.copy())
-            out[..., idx] = r
-            outs.append(out)
-        return tuple(outs) if isinstance(res, tuple) else outs[0]
+        return _spread(res, idx, self.n_vertices, fill)
+
+    def dists_to(self, other: "_VertexRows") -> np.ndarray:
+        """``VertexFunction.dists_to`` of row functions (unchecked)."""
+        mask = _joint(self.mask, other.mask)
+        at = slice(None) if mask is None else mask
+        return self.manifold._dist_rows(self.rows[:, at], other.rows[:, at])
 
     def max_norm(self, v, state=None) -> float:
         """Largest ``||v||`` of the tangent rows v over the active vertices

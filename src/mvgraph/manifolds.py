@@ -11,19 +11,19 @@ Four geometries are supported as value spaces for vertex data:
 Every kernel operation (``dist``, ``exp``, ``log``, ``transport``,
 ``inner``, ``norm``, ``random_tangent``) is vectorised: points and tangent
 vectors are numpy arrays whose trailing axes carry ``point_shape`` and whose
-leading axes are arbitrary batch axes.  A single point is a batch with no
-leading axes.
+leading axes are arbitrary batch axes, broadcast as numpy does.  A single
+point is a batch with no leading axes.
 
-The kernels a solver sweep calls (``point_state``, ``log_and_dist``,
-``exp_and_norm``, ``edge_log_and_dist`` and ``norm``) are written once, on
-component rows: a batch of N points or tangents is one contiguous (k, N)
-array, one row per component and the batch axis last.  k is 1 for the
-circle, 3 for the sphere, m for ``Euclidean(m)`` and n(n+1)/2 for
-``Spd(n)`` (see the block comment on component arrays).  A solve converts
-its iterate and data to rows once (``Manifold._rows``) and the result back
-once (``Manifold._points``), and calls the private ``_..._rows`` kernels in
-between.  Each public method is one conversion in, the row kernel, and one
-conversion out.
+Each kernel is written once, as a private row kernel on component rows: a
+batch of N points or tangents is one contiguous (k, N) array, one row per
+component and the batch axis last.  k is 1 for the circle, 3 for the
+sphere, m for ``Euclidean(m)`` and n(n+1)/2 for ``Spd(n)`` (see the block
+comment on component arrays).  ``Manifold`` is the only place that converts
+between the two layouts: each public method is one conversion in
+(``Manifold._batch_rows``), the row kernel, and one conversion out
+(``Manifold._points``).  A solve converts its iterate and data to rows once
+and the result back once, and the calculus operators convert their inputs
+and outputs once each; both call the row kernels in between.
 
 Conventions:
 
@@ -161,8 +161,11 @@ def _symmetric_part(g):
 
 
 def _mul(a, b):
-    """Matrix product of two grids."""
-    return np.einsum("ik...,kj...->ij...", a, b)
+    """Matrix product of two grids.  einsum sums a one-column batch with a
+    strided operand in another order, so the operands are made contiguous:
+    then a column gets the same bits whatever the batch it is in."""
+    return np.einsum("ik...,kj...->ij...", np.ascontiguousarray(a),
+                     np.ascontiguousarray(b))
 
 
 def _congruence(a, s):
@@ -326,14 +329,16 @@ def _null_vector(a, lam):
 
 
 class Manifold:
-    """Base class; concrete geometries fill in the kernel operations.
+    """Base class: the flat geometry of the coordinates, which concrete
+    geometries override where they differ.
 
-    The sweep kernels are the private ``_point_state_rows``,
-    ``_log_and_dist_rows``, ``_exp_and_norm_rows``,
-    ``_edge_log_and_dist_rows`` and ``_norm_rows``, on component rows (see
-    the module docstring); they check no shapes.  The public methods of the
-    same names convert their operands once (``_batch_rows``, which checks
-    the shapes) and the result back once (``_points``).
+    The kernels are the private ``_..._rows`` methods on component rows (see
+    the module docstring); they check no shapes.  Every public kernel is
+    defined here, once: it converts its operands with ``_batch_rows``, which
+    checks their shapes and takes the point state of the base point, calls
+    the row kernel of the same name, and converts the result back with
+    ``_points``.  Subclasses define no public kernel (``Circle.exp``, which
+    also takes scalar angles, is the one exception).
     """
 
     kind: str
@@ -358,18 +363,20 @@ class Manifold:
         """The ``batch + point_shape`` array of component rows (k, N)."""
         return np.ascontiguousarray(rows.T).reshape(batch + self.point_shape)
 
-    def _batch_rows(self, *arrays, first=None):
-        """The component rows of ``arrays`` (points or tangents), broadcast
-        to their joint batch shape, and that shape.  ``first`` maps the rows
-        of the first array before they are broadcast."""
-        arrays = [self._check_shape(a, "operand") for a in arrays]
+    def _batch_rows(self, x, *arrays):
+        """The component rows of the base points ``x`` and of ``arrays``
+        (points or tangents), broadcast to their joint batch shape; the
+        point state of x, taken before x is broadcast (so that each base
+        point is decomposed once) and broadcast with it; and that shape."""
+        arrays = [self._check_shape(a, "operand") for a in (x,) + arrays]
         shapes = [a.shape[:a.ndim - len(self.point_shape)] for a in arrays]
         batch = np.broadcast_shapes(*shapes)
         rows = [self._rows(a) for a in arrays]
-        if first is not None:
-            rows[0] = first(rows[0])
+        state = self._point_state_rows(rows[0])
+        if state is not None:
+            state = _broadcast(state, shapes[0], batch)
         return ([_broadcast(r, s, batch) for r, s in zip(rows, shapes)],
-                batch)
+                state, batch)
 
     # -- row kernels -------------------------------------------------------
 
@@ -380,20 +387,35 @@ class Manifold:
         return None
 
     def _log_and_dist_rows(self, x, y, state=None):
-        """``(log_x y, dist(x, y))`` on rows; ``state`` is
-        ``_point_state_rows(x)`` or None."""
-        raise NotImplementedError
+        """``(log_x y, dist(x, y))`` on rows (here y - x and its length);
+        ``state`` is ``_point_state_rows(x)`` or None.  Raises
+        InjectivityError where y is (numerically) on the cut locus of x."""
+        v = y - x
+        return v, self._norm_rows(x, v)
 
     def _exp_and_norm_rows(self, x, v, state=None):
-        """``(exp_x v, dist(x, exp_x v))`` on rows, sharing intermediate
-        work.  The distance is the length of the geodesic step, ``||v||_x``,
-        where every geodesic is minimizing (infinite injectivity radius);
-        the compact geometries wrap it into [0, pi]."""
-        raise NotImplementedError
+        """``(exp_x v, dist(x, exp_x v))`` on rows (here x + v), sharing
+        intermediate work.  The distance is the length of the geodesic step,
+        ``||v||_x``, where every geodesic is minimizing (infinite
+        injectivity radius); the compact geometries wrap it into [0, pi]."""
+        return x + v, self._norm_rows(x, v)
+
+    def _dist_rows(self, x, y, state=None):
+        """``dist(x, y)`` on rows, which never raises."""
+        return self._norm_rows(x, y - x)
+
+    def _transport_rows(self, x, y, v, state=None):
+        """Parallel transport of the tangents v from x to y on rows (here
+        a copy of v)."""
+        return v.copy()
+
+    def _inner_rows(self, x, u, v, state=None):
+        """``<u, v>_x`` on rows."""
+        return np.sum(u * v, axis=0)
 
     def _norm_rows(self, x, v, state=None):
-        """``||v||_x`` on rows: the flat metric of the coordinates here."""
-        return np.sqrt(np.maximum(np.sum(v * v, axis=0), 0.0))
+        """``||v||_x`` on rows."""
+        return np.sqrt(np.maximum(self._inner_rows(x, v, v, state), 0.0))
 
     def _edge_log_and_dist_rows(self, p, src, dst, rev, state=None):
         """``_log_and_dist_rows`` of the columns ``src`` and ``dst`` of the
@@ -411,7 +433,9 @@ class Manifold:
     # -- kernel operations -------------------------------------------------
 
     def dist(self, x, y):
-        raise NotImplementedError
+        """Geodesic distance; unlike ``log`` it never raises."""
+        (x, y), state, batch = self._batch_rows(x, y)
+        return _per_point(self._dist_rows(x, y, state), batch)
 
     def exp(self, x, v):
         return self.exp_and_norm(x, v)[0]
@@ -419,8 +443,8 @@ class Manifold:
     def exp_and_norm(self, x, v):
         """Return ``(exp_x v, dist(x, exp_x v))`` sharing intermediate work
         (``_exp_and_norm_rows``)."""
-        (x, v), batch = self._batch_rows(x, v)
-        y, t = self._exp_and_norm_rows(x, v)
+        (x, v), state, batch = self._batch_rows(x, v)
+        y, t = self._exp_and_norm_rows(x, v, state)
         return self._points(y, batch), _per_point(t, batch)
 
     def log(self, x, y):
@@ -428,41 +452,27 @@ class Manifold:
 
     def log_and_dist(self, x, y):
         """Return ``(log_x y, dist(x, y))`` sharing intermediate work."""
-        (x, y), batch = self._batch_rows(x, y)
-        v, d = self._log_and_dist_rows(x, y)
+        (x, y), state, batch = self._batch_rows(x, y)
+        v, d = self._log_and_dist_rows(x, y, state)
         return self._points(v, batch), _per_point(d, batch)
 
-    def point_state(self, x):
-        """``_point_state_rows`` of the points x, one row per point (on Spd
-        the components of x^1/2 followed by those of x^-1/2); None where
-        there is none."""
-        (x,), batch = self._batch_rows(x)
-        state = self._point_state_rows(x)
-        return (None if state is None
-                else np.ascontiguousarray(state.T).reshape(
-                    batch + state.shape[:1]))
-
-    def edge_log_and_dist(self, points, src, dst, rev):
-        """``log_and_dist(points[src], points[dst])`` over a batch of edges;
-        ``rev`` as in ``_edge_log_and_dist_rows``."""
-        (p,), _ = self._batch_rows(points)
-        v, d = self._edge_log_and_dist_rows(p, src, dst, rev)
-        return self._points(v, (np.size(src),)), d
-
     def transport(self, x, y, v):
-        raise NotImplementedError
+        """Parallel transport of the tangent v at x to y along the
+        geodesic."""
+        (x, y, v), state, batch = self._batch_rows(x, y, v)
+        return self._points(self._transport_rows(x, y, v, state), batch)
 
     def inner(self, x, u, v):
-        # the flat metric of the embedding coordinates; Spd overrides it
-        return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
+        (x, u, v), state, batch = self._batch_rows(x, u, v)
+        return _per_point(self._inner_rows(x, u, v, state), batch)
 
     def norm(self, x, u):
-        (x, u), batch = self._batch_rows(x, u)
-        return _per_point(self._norm_rows(x, u), batch)
+        (x, u), state, batch = self._batch_rows(x, u)
+        return _per_point(self._norm_rows(x, u, state), batch)
 
     def random_tangent(self, x, sigma, rng):
         """Isotropic Gaussian tangent draw: E ||v||_x^2 = sigma^2 * intrinsic_dim."""
-        raise NotImplementedError
+        return rng.normal(0.0, sigma, size=self._check_shape(x).shape)
 
     # -- validation --------------------------------------------------------
 
@@ -494,6 +504,8 @@ class Manifold:
 
 @dataclass(frozen=True)
 class Euclidean(Manifold):
+    """Flat R^m: the base class's row kernels."""
+
     dim: int
 
     def __post_init__(self):
@@ -515,24 +527,6 @@ class Euclidean(Manifold):
     def params(self):
         return {"m": self.dim}
 
-    def dist(self, x, y):
-        x, y = self._check_shape(x), self._check_shape(y)
-        return np.linalg.norm(y - x, axis=-1)
-
-    def _log_and_dist_rows(self, x, y, state=None):
-        v = y - x
-        return v, np.sqrt(np.sum(v * v, axis=0))
-
-    def _exp_and_norm_rows(self, x, v, state=None):
-        return x + v, self._norm_rows(x, v)
-
-    def transport(self, x, y, v):
-        return np.array(v, dtype=np.float64, copy=True)
-
-    def random_tangent(self, x, sigma, rng):
-        x = self._check_shape(x)
-        return rng.normal(0.0, sigma, size=x.shape)
-
     def check_point(self, x):
         x = self._check_shape(x)
         if not np.all(np.isfinite(x)):
@@ -549,11 +543,6 @@ class Circle(Manifold):
     intrinsic_dim = 1
     injectivity_radius = np.pi
 
-    def dist(self, x, y):
-        x, y = self._check_shape(x), self._check_shape(y)
-        d = _wrap_in_place(y - x)
-        return np.abs(d, out=d)[..., 0]
-
     def exp(self, x, v):
         # the step of _exp_and_norm_rows on angles of any broadcastable
         # shape, scalars too
@@ -569,13 +558,11 @@ class Circle(Manifold):
         self._check_injective(d)
         return v, d
 
-    def transport(self, x, y, v):
-        # 1-d tangent spaces: parallel transport is the identity.
-        return np.array(v, dtype=np.float64, copy=True)
+    def _dist_rows(self, x, y, state=None):
+        d = _wrap_in_place(y - x)[0]
+        return np.abs(d, out=d)
 
-    def random_tangent(self, x, sigma, rng):
-        x = self._check_shape(x)
-        return rng.normal(0.0, sigma, size=x.shape)
+    # 1-d tangent spaces: parallel transport is the identity (the default).
 
     def check_point(self, x):
         x = self._check_shape(x)
@@ -598,12 +585,6 @@ class Sphere2(Manifold):
 
     UNIT_TOL = 1e-10
 
-    def dist(self, x, y):
-        x, y = self._check_shape(x), self._check_shape(y)
-        c = np.cross(x, y)
-        s = np.linalg.norm(c, axis=-1)
-        return np.arctan2(s, np.sum(x * y, axis=-1))
-
     def _exp_and_norm_rows(self, x, v, state=None):
         t = np.sqrt(_dot(v, v))
         # sinc(t/pi) = sin(t)/t, finite at t = 0
@@ -620,20 +601,18 @@ class Sphere2(Manifold):
         scale = np.where(pn > _TINY, d / np.where(pn > _TINY, pn, 1.0), 0.0)
         return scale * perp, d
 
-    def transport(self, x, y, v):
-        x = self._check_shape(x)
-        y = self._check_shape(y)
-        v = self._check_shape(v, "tangent")
-        xi, d = self.log_and_dist(x, y)
-        safe = np.where(d > _TINY, d, 1.0)
-        e = xi / safe[..., None]
-        a = np.sum(e * v, axis=-1)
-        out = (v
-               + ((np.cos(d) - 1.0) * a)[..., None] * e
-               - (np.sin(d) * a)[..., None] * x)
-        out = np.where(d[..., None] > _TINY, out, v)
+    def _dist_rows(self, x, y, state=None):
+        c = _cross(x, y)
+        return np.arctan2(np.sqrt(_dot(c, c)), _dot(x, y))
+
+    def _transport_rows(self, x, y, v, state=None):
+        xi, d = self._log_and_dist_rows(x, y)
+        e = xi / np.where(d > _TINY, d, 1.0)
+        a = _dot(e, v)
+        out = v + ((np.cos(d) - 1.0) * a) * e - (np.sin(d) * a) * x
+        out = np.where(d > _TINY, out, v)
         # numerical hygiene: remove any normal component that crept in
-        return out - np.sum(out * y, axis=-1, keepdims=True) * y
+        return out - _dot(out, y) * y
 
     def random_tangent(self, x, sigma, rng):
         x = self._check_shape(x)
@@ -782,13 +761,6 @@ class Spd(Manifold):
                     np.sqrt(np.sum(w * w, axis=0)))
         return _blockwise(block, rt, irt, v)
 
-    def _norm_rows(self, x, v, state=None):
-        # ||v||_x^2 = <x^-1/2 v x^-1/2, x^-1/2 v x^-1/2>_F
-        def block(irt, v):
-            c = _congruence(irt, v)
-            return np.sqrt(np.maximum(_frobenius(c, c), 0.0))
-        return _blockwise(block, self._split_state(x, state)[1], v)
-
     def _edge_log_and_dist_rows(self, p, src, dst, rev, state=None):
         """One ``_log_mid`` per undirected pair, with the roots of each
         source vertex read from ``state`` (or decomposed once per distinct
@@ -814,33 +786,26 @@ class Spd(Manifold):
             d[rev[e[pair]]] = d[e[pair]]
         return logs, d
 
-    # -- kernel operations ---------------------------------------------
+    def _dist_rows(self, x, y, state=None):
+        return _blockwise(lambda irt, y: np.sqrt(np.sum(
+            _log_mid(irt, y)[1] ** 2, axis=0)),
+            self._split_state(x, state)[1], y)
 
-    def dist(self, x, y):
-        (state, y), batch = self._batch_rows(x, y,
-                                             first=self._point_state_rows)
-        d = _blockwise(lambda irt, y: np.sqrt(np.sum(
-            _log_mid(irt, y)[1] ** 2, axis=0)), np.split(state, 2)[1], y)
-        return _per_point(d, batch)
-
-    def transport(self, x, y, v):
+    def _transport_rows(self, x, y, v, state=None):
         # e v e^T = x^1/2 E (x^-1/2 v x^-1/2) E x^1/2, E = Exp(Delta/2)
-        (state, y, v), batch = self._batch_rows(
-            x, y, v, first=self._point_state_rows)
-
         def block(rt, irt, y, v):
             mu, p = _eigh_sym(_congruence(irt, y))
             half = _recompose(p, np.sqrt(np.maximum(mu, EIG_CLAMP)))
             return _congruence(rt, _congruence(half, _congruence(irt, v)))
-        return _matrices(_blockwise(block, *np.split(state, 2), y, v), batch)
+        return _blockwise(block, *self._split_state(x, state), y, v)
 
-    def inner(self, x, u, v):
+    def _inner_rows(self, x, u, v, state=None):
         # trace(x^-1 u x^-1 v) = <x^-1/2 u x^-1/2, x^-1/2 v x^-1/2>_F
-        (state, u, v), batch = self._batch_rows(
-            x, u, v, first=self._point_state_rows)
-        return _per_point(_blockwise(lambda irt, u, v: _frobenius(
+        return _blockwise(lambda irt, u, v: _frobenius(
             _congruence(irt, u), _congruence(irt, v)),
-            np.split(state, 2)[1], u, v), batch)
+            self._split_state(x, state)[1], u, v)
+
+    # -- kernel operations ---------------------------------------------
 
     def random_tangent(self, x, sigma, rng):
         # s = g + g^T with g ~ N(0, (sigma/2)^2) iid gives Var(s_ii) = sigma^2
@@ -848,8 +813,7 @@ class Spd(Manifold):
         # draw is isotropic w.r.t. the affine-invariant metric at x.
         x = self._check_shape(x)
         g = rng.normal(0.0, sigma / 2.0, size=x.shape)
-        (state, s), batch = self._batch_rows(
-            x, g + np.swapaxes(g, -1, -2), first=self._point_state_rows)
+        (_, s), state, batch = self._batch_rows(x, g + np.swapaxes(g, -1, -2))
         return _matrices(_blockwise(_congruence, np.split(state, 2)[0], s),
                          batch)
 

@@ -1,18 +1,21 @@
 """The circle and sweep fast paths agree bit for bit with the forms they
 replace: ``wrap_angle`` against the reference in ``circle_wrap``, the
-unmasked ``_smoothed_power`` and ``dists_to`` against their masked forms,
-and whole explicit circle solves against the reference wrap."""
+sphere2 distance and transport on component rows against the point-layout
+forms in ``sphere2_ref``, the unmasked ``_smoothed_power`` and ``dists_to``
+against their masked forms, and whole explicit circle solves against the
+reference wrap."""
 
 import numpy as np
 import pytest
 
 import circle_wrap
 import mvgraph.manifolds
+import sphere2_ref
 from mvgraph.calculus import _smoothed_power
 from mvgraph.errors import InjectivityError
 from mvgraph.fields import VertexFunction
 from mvgraph.graphs import knn_patch_graph
-from mvgraph.manifolds import (ANTIPODAL_MARGIN, Circle, Sphere2,
+from mvgraph.manifolds import (_TINY, ANTIPODAL_MARGIN, Circle, Sphere2,
                                wrap_angle)
 from mvgraph.solvers import SolverConfig, solve
 from mvgraph.synthetics import NoiseSpec, add_noise, gen_phase_image
@@ -100,6 +103,24 @@ def test_circle_kernels_match_reference_wrap(order):
 
 def test_wrap_angle_accepts_lists():
     _same(wrap_angle([4.0, -4.0]), circle_wrap.wrap_angle([4.0, -4.0]))
+
+
+def test_sphere2_kernels_match_point_layout_reference():
+    rng = np.random.default_rng(6)
+    s = Sphere2()
+    x, y = random_point(s, rng, 5000), random_point(s, rng, 5000)
+    # pairs at d < _TINY: equal points, and points one rounding step apart
+    y[:50] = x[:50]
+    y[50:100] = np.nextafter(x[50:100], 2.0)
+    v = s.random_tangent(x, 1.0, rng)
+    d = s.dist(x, y)
+    assert np.all(d[:100] < _TINY) and np.all(d[100:] > _TINY)
+    _same(d, sphere2_ref.dist(x, y))
+    _same(s.transport(x, y, v), sphere2_ref.transport(x, y, v))
+    # dist never raises, antipodal pairs included; broadcasting as numpy
+    _same(s.dist(x[:50], -x[:50]), sphere2_ref.dist(x[:50], -x[:50]))
+    _same(s.dist(x[0], y), sphere2_ref.dist(x[0], y))
+    _same(s.transport(x[0], y[1], v), sphere2_ref.transport(x[0], y[1], v))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import mvgraph.manifolds
 import spd_matmul
 from mvgraph.errors import DomainError, InjectivityError
 from mvgraph.fields import VertexFunction
-from mvgraph.manifolds import (EIG_CLAMP, Circle, Euclidean, Spd, Sphere2,
-                               _components, _eigh_sym, _matrices,
+from mvgraph.manifolds import (EIG_CLAMP, Circle, Euclidean, Manifold, Spd,
+                               Sphere2, _components, _eigh_sym, _matrices,
                                from_kind, wrap_angle)
 
 
@@ -116,6 +116,21 @@ def test_empty_batch_is_valid(manifold):
     assert VertexFunction(manifold, empty).n_vertices == 0
 
 
+def test_subclasses_define_no_public_kernel():
+    # each public kernel is defined once, on Manifold, around the row
+    # kernel of the same name
+    kernels = ("dist", "log", "exp", "log_and_dist", "exp_and_norm",
+               "transport", "inner", "norm")
+    kinds = [cls for cls in Manifold.__subclasses__()
+             if cls.__module__ == "mvgraph.manifolds"]
+    assert sorted(cls.__name__ for cls in kinds) == [
+        "Circle", "Euclidean", "Spd", "Sphere2"]
+    defined = [(cls.__name__, op) for cls in kinds for op in kernels
+               if op in vars(cls)]
+    # Circle.exp also takes scalar angles
+    assert defined == [("Circle", "exp")]
+
+
 @pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=lambda m: m.kind)
 def test_public_kernels_keep_the_point_layout(manifold, rng):
     # each public kernel converts to component rows and back once: batch
@@ -132,11 +147,11 @@ def test_public_kernels_keep_the_point_layout(manifold, rng):
     one = manifold.exp_and_norm(x[1, 2], v)
     every = manifold.exp_and_norm(np.broadcast_to(x[1, 2], x.shape), v)
     assert all(np.array_equal(a, b) for a, b in zip(one, every))
-    state = manifold.point_state(x)
+    state = manifold._point_state_rows(manifold._rows(x))
     if isinstance(manifold, Spd):
         k = manifold.intrinsic_dim
-        assert state.shape == (2, 5, 2 * k)
-        rt = _matrices(state[..., :k].reshape(10, k).T, (2, 5))
+        assert state.shape == (2 * k, 10)
+        rt = _matrices(state[:k], (2, 5))
         np.testing.assert_allclose(rt @ rt, x, atol=1e-12)
     else:
         assert state is None

@@ -16,7 +16,8 @@ from mvgraph.errors import ConfigError, DivergenceError, InjectivityError
 from mvgraph.fields import VertexFunction
 from mvgraph.graphs import WeightedGraph, grid_graph
 from mvgraph.manifolds import Circle, Euclidean, Manifold, Spd, Sphere2
-from mvgraph.solvers import SolverConfig, explicit_step, jacobi_step, solve
+from mvgraph.solvers import (EXPLICIT_RESIDUAL_FACTOR, SolverConfig,
+                             explicit_step, jacobi_step, solve)
 
 
 def path_graph(weights):
@@ -204,6 +205,22 @@ def test_huge_tolerance_stops_after_one_sweep():
     assert rep.iterations == 1
     assert rep.reason == "converged"
     assert len(rep.change_trace) == 1
+
+
+@pytest.mark.parametrize("stop_tol, sweeps", [(1e-3, 1), (1e-4, 6)])
+def test_explicit_spike_with_small_mean_change_is_stalled(stop_tol, sweeps):
+    # one vertex at 5 among 4,096 at 0: the mean change is a 4,096th of the
+    # spike's step, so it meets stop_tol while max ||R|| is 14 (1e-3) or
+    # 2.9 (1e-4), far from a fixed point
+    g = grid_graph(64, 64)
+    vals = np.zeros((4096, 1))
+    vals[2080] = 5.0
+    f0 = VertexFunction(Euclidean(1), vals)
+    _, rep = solve(g, f0, cfg(lam=1.0, dt=0.05, stop_tol=stop_tol,
+                              max_iters=10_000))
+    assert rep.iterations == sweeps
+    assert rep.residual_max * 0.05 > EXPLICIT_RESIDUAL_FACTOR * stop_tol
+    assert rep.reason == "stalled"
 
 
 def test_small_change_with_large_residual_is_stalled():
@@ -477,6 +494,10 @@ def test_solve_makes_one_edge_pass_per_iterate(rng):
         def dist(self, x, y):
             rows.append(len(x))
             return super().dist(x, y)
+
+        def _dist_rows(self, x, y, state=None):
+            rows.append(x.shape[-1])
+            return super()._dist_rows(x, y, state)
 
     s = CountingSphere2()
     g = grid_graph(6, 5)

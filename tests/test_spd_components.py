@@ -136,6 +136,28 @@ def test_one_point_broadcasts_against_a_batch(rng):
     assert m.log(x, y[0]).shape == (3, 3)
 
 
+def test_dist_decomposes_each_base_point_once(rng, monkeypatch):
+    # the kNN-patch builder's broadcast: n base points against B blocks
+    matrices = []
+    eigh_sym = mvgraph.manifolds._eigh_sym
+
+    def counting(c):
+        matrices.append(int(np.prod(np.shape(c)[1:])))
+        return eigh_sym(c)
+
+    m = Spd(3)
+    n, b = 40, 6
+    x = random_point(m, rng, n)
+    y = random_point(m, rng, b * n).reshape(b, n, 3, 3)
+    monkeypatch.setattr(mvgraph.manifolds, "_eigh_sym", counting)
+    d = m.dist(x, y)
+    # the roots of x, then the mid matrices of every pair
+    assert matrices == [n, b * n]
+    # a column gets the same bits whatever the batch it is in
+    assert np.array_equal(d, m.dist(np.broadcast_to(x, y.shape), y))
+    assert d[1, 2] == m.dist(x[2], y[1, 2])
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_empty_batches(k):
     m = Spd(k)
@@ -145,8 +167,9 @@ def test_empty_batches(k):
     assert m.dist(np.eye(k), x).shape == (0,)
     assert m.exp(x, x).shape == (0, k, k)
     none = np.zeros(0, dtype=np.int64)
-    logs, d = m.edge_log_and_dist(np.eye(k)[None], none, none, none)
-    assert logs.shape == (0, k, k) and d.shape == (0,)
+    logs, d = m._edge_log_and_dist_rows(m._rows(np.eye(k)[None]), none, none,
+                                        none)
+    assert logs.shape == (m.intrinsic_dim, 0) and d.shape == (0,)
 
 
 def test_spd2_kernels_match_matmul_forms(rng):
