@@ -112,17 +112,15 @@ def edge_logs(graph, f: VertexFunction):
     return f.manifold._points(logs, (graph.n_edges,)), d
 
 
-def _edge_logs(graph, f, state=None):
+def _edge_logs(graph, f):
     """``edge_logs`` of the row function f, the logs as component rows
-    (k, m); this pass is the admissibility check of every iterate.
-    ``state`` is the point state of f from ``_edge_pass``, when the caller
-    has it."""
+    (k, m); this pass is the admissibility check of every iterate."""
     _check_pair(graph, f)
 
     def op(src, dst, sel, rev):
         try:
-            return f.manifold._edge_log_and_dist_rows(f.rows, src, dst, rev,
-                                                      state)
+            return f.manifold._edge_log_and_dist_rows(f.rows, f.state, src,
+                                                      dst, rev)
         except InjectivityError as err:
             _reraise_with_edge(err, src, dst)
     return _on_active_edges(graph, f, op)
@@ -133,14 +131,14 @@ def _edge_dists(graph, f):
     edges."""
     _check_pair(graph, f)
     return _on_active_edges(graph, f, lambda src, dst, sel, _: (
-        f.manifold._dist_rows(f.rows[:, src], f.rows[:, dst])))
+        f.manifold._dist_rows(f.state[:, src], f.rows[:, dst])))
 
 
 def _edge_inners(graph, f, A, B):
     """Inner products at f(u) of the per-edge component rows A and B
     (k, m), f a row function; zero on inactive edges."""
     return _on_active_edges(graph, f, lambda src, dst, sel, _: (
-        f.manifold._inner_rows(f.rows[:, src], A[:, sel], B[:, sel])))
+        f.manifold._inner_rows(f.state[:, src], A[:, sel], B[:, sel])))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,8 @@ def directional_derivative(graph, f: VertexFunction, u: int, v: int):
         return np.zeros(m.point_shape)
     lg = _on_active_edges(
         graph, f, lambda src, dst, sel, _: m._log_and_dist_rows(
-            m._rows(f.values[src]), m._rows(f.values[dst]))[0],
+            m._point_state_rows(m._rows(f.values[src])),
+            m._rows(f.values[dst]))[0],
         slice(e, e + 1))
     return m._points(np.sqrt(graph.weight[e]) * lg, (1,))[0]
 
@@ -186,7 +185,7 @@ def _div_terms(graph, f, h):
         t = -sw * hs
         j = np.flatnonzero(rev >= 0)
         r = rev[j]
-        t[:, j] += sw[r] * m._transport_rows(f.rows[:, dst[j]],
+        t[:, j] += sw[r] * m._transport_rows(f.state[:, dst[j]],
                                              f.rows[:, src[j]], hs[:, r])
         return 0.5 * t
     return _on_active_edges(graph, f, op)
@@ -227,7 +226,7 @@ def edge_norm_pq(graph, f: VertexFunction, H: TangentEdgeFunction,
     _check_edge_fn(graph, H)
     fr, h = f._to_rows(), f.manifold._rows(H.values)
     norms = _on_active_edges(graph, fr, lambda src, dst, sel, _: (
-        f.manifold._norm_rows(fr.rows[:, src], h[:, sel])))
+        f.manifold._norm_rows(fr.state[:, src], h[:, sel])))
     S = _scatter(graph, norms ** q)
     return float(((2.0 / p) * np.sum(S ** (p / q))) ** (1.0 / p))
 
@@ -243,7 +242,7 @@ def local_variation(graph, f: VertexFunction, H: TangentEdgeFunction,
     edges = graph.out_edges(u)
     m, h = f.manifold, H.values[edges]
     norms = _on_active_edges(graph, f, lambda src, dst, sel, _: m._norm_rows(
-        m._rows(f.values[src]), m._rows(h[sel])), edges)
+        m._point_state_rows(m._rows(f.values[src])), m._rows(h[sel])), edges)
     return float(np.sum(norms ** q) ** (1.0 / q))
 
 
@@ -286,9 +285,8 @@ def symmetric_map(graph, f: VertexFunction, g: VertexFunction) -> float:
     m = f.manifold
 
     def op(src, dst, sel, _):
-        x = f.rows[:, src]
-        return m._inner_rows(x, lf[:, sel], m._transport_rows(
-            g.rows[:, src], x, lg[:, sel]))
+        return m._inner_rows(f.state[:, src], lf[:, sel], m._transport_rows(
+            g.state[:, src], f.rows[:, src], lg[:, sel]))
     return float(np.sum(_on_active_edges(graph, f, op)))
 
 
@@ -358,31 +356,22 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
 
 class _Pass(NamedTuple):
     """What the operators read from one row function f, each computed
-    once: its point state (``Manifold._point_state_rows`` on the active
-    vertices; None off Spd), its edge logs (component rows) and distances,
-    and its fidelity logs (component rows) and distances to the data (None
-    when lam = 0)."""
+    once: its edge logs (component rows) and distances, and its fidelity
+    logs (component rows) and distances to the data (None when lam = 0).
+    All of them read the point state of f, which f holds."""
 
-    state: np.ndarray | None
     logs: np.ndarray
     d: np.ndarray
     data_logs: np.ndarray | None
     data_d: np.ndarray | None
 
 
-def _edge_pass(graph, f):
-    """The point state of the row function f and its edge pass,
-    ``(state, logs, d)``.  The state covers the active vertices only."""
-    state = f._on_active(f.manifold._point_state_rows)
-    return (state, *_edge_logs(graph, f, state))
-
-
 def _iterate_pass(graph, f, f0, lam, edges=None):
-    """The ``_Pass`` of the row function f, completing its ``_edge_pass``
+    """The ``_Pass`` of the row function f, completing its ``_edge_logs``
     when given; the row function ``f0`` is read only when ``lam > 0``."""
-    state, logs, d = _edge_pass(graph, f) if edges is None else edges
-    data = _data_logs(f, f0, state) if lam > 0 else (None, None)
-    return _Pass(state, logs, d, *data)
+    logs, d = _edge_logs(graph, f) if edges is None else edges
+    data = _data_logs(f, f0) if lam > 0 else (None, None)
+    return _Pass(logs, d, *data)
 
 
 def _residual(graph, f, lam, p, model, eps_smooth, it):
@@ -488,12 +477,11 @@ def energy_iso(graph, f: VertexFunction, f0: VertexFunction,
     return _model_energy(graph, f, f0, lam, p, "iso")
 
 
-def _data_logs(f, f0, state=None):
+def _data_logs(f, f0):
     """``(log_{f(u)} f0(u), d(f(u), f0(u)))`` of the row functions f and
-    f0 on jointly active vertices, zeros elsewhere; ``state`` is the point
-    state of f from ``_edge_pass``, when the caller has it."""
+    f0 on jointly active vertices, zeros elsewhere."""
     try:
-        return f._on_active(f.manifold._log_and_dist_rows, f0.rows, state,
+        return f._on_active(f.manifold._log_and_dist_rows, f.state, f0.rows,
                             other=f0)
     except InjectivityError as err:
         u = -1 if err.vertex is None else err.vertex

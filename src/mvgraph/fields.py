@@ -12,7 +12,8 @@ calculus: per-vertex fields (one tangent at each f(u)) and per-edge
 functions (one tangent at the start point f(u) of every directed edge).
 
 Inside a solve a vertex function is held in component rows (``_VertexRows``,
-the layout of ``manifolds``), and ``_VertexRows._on_active`` is where the
+the layout of ``manifolds``), together with the point state that the row
+kernels read at its values, and ``_VertexRows._on_active`` is where the
 active vertices are selected.
 """
 
@@ -167,12 +168,9 @@ def _joint(a, b):
 
 
 def _spread(res, idx, n, fill=None):
-    """Each array of ``res`` (one, a tuple of them, or None) spread along
-    its last axis over n columns: its columns go to ``idx``, and the other
-    columns are zero, or for the first array those of ``fill`` when
-    given."""
-    if res is None:
-        return None
+    """Each array of ``res`` (one, or a tuple of them) spread along its last
+    axis over n columns: its columns go to ``idx``, and the other columns
+    are zero, or for the first array those of ``fill`` when given."""
     outs = []
     for r in res if isinstance(res, tuple) else (res,):
         out = (np.zeros(r.shape[:-1] + (n,), r.dtype)
@@ -200,11 +198,13 @@ class _VertexRows:
     """A vertex function in component rows, the layout in which a solve
     runs: ``rows`` is the (k, n) array of ``Manifold._rows``, one row per
     component and the vertex axis last, with zero columns at inactive
-    vertices; ``mask`` as in :class:`VertexFunction`."""
+    vertices; ``mask`` as in :class:`VertexFunction`.  ``rows`` is never
+    written after construction, so ``state`` is taken once."""
 
     manifold: Manifold
     rows: np.ndarray
     mask: np.ndarray | None = None
+    _state: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -214,26 +214,35 @@ class _VertexRows:
         """Same manifold and mask, new rows."""
         return _VertexRows(self.manifold, rows, self.mask)
 
+    @property
+    def state(self) -> np.ndarray:
+        """The point state of the values (``Manifold._point_state_rows``),
+        one column per vertex, taken on the active vertices only (zero
+        columns elsewhere) when first read.  Unmasked off Spd it is
+        ``rows`` itself."""
+        if self._state is None:
+            self._state = self._on_active(self.manifold._point_state_rows,
+                                          self.rows)
+        return self._state
+
     def _on_active(self, op, *arrays, other=None, fill=None):
-        """``op(rows, *arrays)`` on the columns of the active vertices only.
+        """``op(*arrays)`` on the columns of the active vertices only.
 
         The vertices are those active here (and in ``other``, when given);
-        ``arrays`` hold one column per vertex, the vertex axis last (None
-        passes through).  Each array ``op`` returns (one, a tuple of them,
-        or None) is spread along its last axis over all vertices, with zero
-        columns elsewhere; the first takes the columns of ``fill`` there
-        instead, when given.  An InjectivityError's ``vertex`` is
-        renumbered to the full vertex list.  Unmasked, ``op`` runs on the
-        full arrays and its result is returned as it is.
+        ``arrays`` hold one column per vertex, the vertex axis last.  Each
+        array ``op`` returns (one, or a tuple of them) is spread along its
+        last axis over all vertices, with zero columns elsewhere; the first
+        takes the columns of ``fill`` there instead, when given.  An
+        InjectivityError's ``vertex`` is renumbered to the full vertex
+        list.  Unmasked, ``op`` runs on the full arrays and its result is
+        returned as it is.
         """
         mask = self.mask if other is None else _joint(self.mask, other.mask)
         if mask is None:
-            return op(self.rows, *arrays)
+            return op(*arrays)
         idx = np.flatnonzero(mask)
         try:
-            res = op(np.take(self.rows, idx, axis=-1),
-                     *(None if a is None else np.take(a, idx, axis=-1)
-                       for a in arrays))
+            res = op(*(np.take(a, idx, axis=-1) for a in arrays))
         except InjectivityError as err:
             if err.vertex is not None:
                 err.vertex = int(idx[err.vertex])
@@ -244,11 +253,10 @@ class _VertexRows:
         """``VertexFunction.dists_to`` of row functions (unchecked)."""
         mask = _joint(self.mask, other.mask)
         at = slice(None) if mask is None else mask
-        return self.manifold._dist_rows(self.rows[:, at], other.rows[:, at])
+        return self.manifold._dist_rows(self.state[:, at], other.rows[:, at])
 
-    def max_norm(self, v, state=None) -> float:
+    def max_norm(self, v) -> float:
         """Largest ``||v||`` of the tangent rows v over the active vertices
-        (0 when none is active); ``state`` is the point state, when the
-        caller has it."""
-        norms = self._on_active(self.manifold._norm_rows, v, state)
+        (0 when none is active)."""
+        norms = self._on_active(self.manifold._norm_rows, self.state, v)
         return float(np.max(norms, initial=0.0))

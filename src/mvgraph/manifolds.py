@@ -25,6 +25,12 @@ between the two layouts: each public method is one conversion in
 and the result back once, and the calculus operators convert their inputs
 and outputs once each; both call the row kernels in between.
 
+A base point enters a row kernel in one form only: its point state
+(``Manifold._point_state_rows``), the per-point work that every kernel at
+that point shares.  On the flat geometry, the circle and the sphere the
+state is the point rows themselves; on ``Spd`` it is the roots x^{+-1/2},
+so each base point is decomposed once, however many kernels read it.
+
 Conventions:
 
 * ``log`` raises :class:`~mvgraph.errors.InjectivityError` when the target
@@ -364,78 +370,75 @@ class Manifold:
         return np.ascontiguousarray(rows.T).reshape(batch + self.point_shape)
 
     def _batch_rows(self, x, *arrays):
-        """The component rows of the base points ``x`` and of ``arrays``
-        (points or tangents), broadcast to their joint batch shape; the
-        point state of x, taken before x is broadcast (so that each base
-        point is decomposed once) and broadcast with it; and that shape."""
+        """The point state of the base points ``x`` and the component rows
+        of ``arrays`` (points or tangents), broadcast to their joint batch
+        shape, and that shape.  The state is taken before x is broadcast,
+        so that each base point is decomposed once."""
         arrays = [self._check_shape(a, "operand") for a in (x,) + arrays]
         shapes = [a.shape[:a.ndim - len(self.point_shape)] for a in arrays]
         batch = np.broadcast_shapes(*shapes)
         rows = [self._rows(a) for a in arrays]
-        state = self._point_state_rows(rows[0])
-        if state is not None:
-            state = _broadcast(state, shapes[0], batch)
-        return ([_broadcast(r, s, batch) for r, s in zip(rows, shapes)],
-                state, batch)
+        rows[0] = self._point_state_rows(rows[0])
+        return [_broadcast(r, s, batch) for r, s in zip(rows, shapes)], batch
 
     # -- row kernels -------------------------------------------------------
 
     def _point_state_rows(self, x):
-        """Per-point work that the row kernels can share between calls at
-        the same base points x, one column per point; None where there is
-        none to share."""
-        return None
+        """The form in which the base points x enter the row kernels, one
+        column per point: the per-point work that every kernel at x shares.
+        Here, on the circle and on the sphere it is x itself, the same
+        array, so their kernels name it x."""
+        return x
 
-    def _log_and_dist_rows(self, x, y, state=None):
-        """``(log_x y, dist(x, y))`` on rows (here y - x and its length);
-        ``state`` is ``_point_state_rows(x)`` or None.  Raises
-        InjectivityError where y is (numerically) on the cut locus of x."""
+    def _log_and_dist_rows(self, x, y):
+        """``(log_x y, dist(x, y))`` on rows (here y - x and its length).
+        Raises InjectivityError where y is (numerically) on the cut locus
+        of x."""
         v = y - x
         return v, self._norm_rows(x, v)
 
-    def _exp_and_norm_rows(self, x, v, state=None):
+    def _exp_and_norm_rows(self, x, v):
         """``(exp_x v, dist(x, exp_x v))`` on rows (here x + v), sharing
         intermediate work.  The distance is the length of the geodesic step,
         ``||v||_x``, where every geodesic is minimizing (infinite
         injectivity radius); the compact geometries wrap it into [0, pi]."""
         return x + v, self._norm_rows(x, v)
 
-    def _dist_rows(self, x, y, state=None):
+    def _dist_rows(self, x, y):
         """``dist(x, y)`` on rows, which never raises."""
         return self._norm_rows(x, y - x)
 
-    def _transport_rows(self, x, y, v, state=None):
+    def _transport_rows(self, x, y, v):
         """Parallel transport of the tangents v from x to y on rows (here
-        a copy of v)."""
+        a copy of v); y are points."""
         return v.copy()
 
-    def _inner_rows(self, x, u, v, state=None):
+    def _inner_rows(self, x, u, v):
         """``<u, v>_x`` on rows."""
         return np.sum(u * v, axis=0)
 
-    def _norm_rows(self, x, v, state=None):
+    def _norm_rows(self, x, v):
         """``||v||_x`` on rows."""
-        return np.sqrt(np.maximum(self._inner_rows(x, v, v, state), 0.0))
+        return np.sqrt(np.maximum(self._inner_rows(x, v, v), 0.0))
 
-    def _edge_log_and_dist_rows(self, p, src, dst, rev, state=None):
-        """``_log_and_dist_rows`` of the columns ``src`` and ``dst`` of the
-        point rows ``p``, over a batch of edges.
+    def _edge_log_and_dist_rows(self, p, s, src, dst, rev):
+        """``_log_and_dist_rows`` from the columns ``src`` of the point
+        state ``s`` to the columns ``dst`` of the point rows ``p``, over a
+        batch of edges.
 
         ``rev[i]`` is the batch position of the reverse of edge ``i``, or -1
-        when it is not in the batch; ``state`` is ``_point_state_rows(p)``
-        or None (its columns are read only at ``src``).  Geometries that
-        can share work between edges with a common source, or between an
-        edge and its reverse, override this.
+        when it is not in the batch.  Geometries that can share work
+        between an edge and its reverse override this.
         """
-        return self._log_and_dist_rows(np.take(p, src, axis=1),
+        return self._log_and_dist_rows(np.take(s, src, axis=1),
                                        np.take(p, dst, axis=1))
 
     # -- kernel operations -------------------------------------------------
 
     def dist(self, x, y):
         """Geodesic distance; unlike ``log`` it never raises."""
-        (x, y), state, batch = self._batch_rows(x, y)
-        return _per_point(self._dist_rows(x, y, state), batch)
+        (s, y), batch = self._batch_rows(x, y)
+        return _per_point(self._dist_rows(s, y), batch)
 
     def exp(self, x, v):
         return self.exp_and_norm(x, v)[0]
@@ -443,8 +446,8 @@ class Manifold:
     def exp_and_norm(self, x, v):
         """Return ``(exp_x v, dist(x, exp_x v))`` sharing intermediate work
         (``_exp_and_norm_rows``)."""
-        (x, v), state, batch = self._batch_rows(x, v)
-        y, t = self._exp_and_norm_rows(x, v, state)
+        (s, v), batch = self._batch_rows(x, v)
+        y, t = self._exp_and_norm_rows(s, v)
         return self._points(y, batch), _per_point(t, batch)
 
     def log(self, x, y):
@@ -452,23 +455,23 @@ class Manifold:
 
     def log_and_dist(self, x, y):
         """Return ``(log_x y, dist(x, y))`` sharing intermediate work."""
-        (x, y), state, batch = self._batch_rows(x, y)
-        v, d = self._log_and_dist_rows(x, y, state)
+        (s, y), batch = self._batch_rows(x, y)
+        v, d = self._log_and_dist_rows(s, y)
         return self._points(v, batch), _per_point(d, batch)
 
     def transport(self, x, y, v):
         """Parallel transport of the tangent v at x to y along the
         geodesic."""
-        (x, y, v), state, batch = self._batch_rows(x, y, v)
-        return self._points(self._transport_rows(x, y, v, state), batch)
+        (s, y, v), batch = self._batch_rows(x, y, v)
+        return self._points(self._transport_rows(s, y, v), batch)
 
     def inner(self, x, u, v):
-        (x, u, v), state, batch = self._batch_rows(x, u, v)
-        return _per_point(self._inner_rows(x, u, v, state), batch)
+        (s, u, v), batch = self._batch_rows(x, u, v)
+        return _per_point(self._inner_rows(s, u, v), batch)
 
     def norm(self, x, u):
-        (x, u), state, batch = self._batch_rows(x, u)
-        return _per_point(self._norm_rows(x, u, state), batch)
+        (s, u), batch = self._batch_rows(x, u)
+        return _per_point(self._norm_rows(s, u), batch)
 
     def random_tangent(self, x, sigma, rng):
         """Isotropic Gaussian tangent draw: E ||v||_x^2 = sigma^2 * intrinsic_dim."""
@@ -548,17 +551,17 @@ class Circle(Manifold):
         # shape, scalars too
         return _wrap_in_place(np.asarray(x, dtype=np.float64) + v)
 
-    def _exp_and_norm_rows(self, x, v, state=None):
+    def _exp_and_norm_rows(self, x, v):
         t = wrap_angle(v[0])
         return _wrap_in_place(x + v), np.abs(t, out=t)
 
-    def _log_and_dist_rows(self, x, y, state=None):
+    def _log_and_dist_rows(self, x, y):
         v = _wrap_in_place(y - x)
         d = np.abs(v[0])
         self._check_injective(d)
         return v, d
 
-    def _dist_rows(self, x, y, state=None):
+    def _dist_rows(self, x, y):
         d = _wrap_in_place(y - x)[0]
         return np.abs(d, out=d)
 
@@ -585,14 +588,14 @@ class Sphere2(Manifold):
 
     UNIT_TOL = 1e-10
 
-    def _exp_and_norm_rows(self, x, v, state=None):
+    def _exp_and_norm_rows(self, x, v):
         t = np.sqrt(_dot(v, v))
         # sinc(t/pi) = sin(t)/t, finite at t = 0
         y = np.cos(t) * x + np.sinc(t / np.pi) * v
         d = wrap_angle(t)
         return y / np.sqrt(_dot(y, y)), np.abs(d, out=d)
 
-    def _log_and_dist_rows(self, x, y, state=None):
+    def _log_and_dist_rows(self, x, y):
         dot = _dot(x, y)
         perp = y - dot * x
         pn = np.sqrt(_dot(perp, perp))
@@ -601,11 +604,11 @@ class Sphere2(Manifold):
         scale = np.where(pn > _TINY, d / np.where(pn > _TINY, pn, 1.0), 0.0)
         return scale * perp, d
 
-    def _dist_rows(self, x, y, state=None):
+    def _dist_rows(self, x, y):
         c = _cross(x, y)
         return np.arctan2(np.sqrt(_dot(c, c)), _dot(x, y))
 
-    def _transport_rows(self, x, y, v, state=None):
+    def _transport_rows(self, x, y, v):
         xi, d = self._log_and_dist_rows(x, y)
         e = xi / np.where(d > _TINY, d, 1.0)
         a = _dot(e, v)
@@ -682,13 +685,13 @@ class Spd(Manifold):
       Riemannian framework for tensor computing"): from log_x y = x Log(x^-1 y)
       and Log(y^-1 x) = -Log(x^-1 y).  ``_edge_log_and_dist_rows`` fills
       the reverse of each evaluated edge this way, so an edge pass costs one
-      eigendecomposition per distinct source vertex plus one per undirected
-      edge.
+      eigendecomposition per undirected edge, on top of the roots in the
+      point state.
     * dist(x, exp_x v) = ||v||_x = ||Lambda||_F for the eigenvalues Lambda
       of x^-1/2 v x^-1/2, which ``exp`` decomposes anyway.
 
-    The point state holds x^1/2 and x^-1/2; the row kernels read the roots
-    from it instead of decomposing x again.
+    The point state holds x^1/2 and x^-1/2, decomposed once per base
+    point; the row kernels read the roots from it, never x itself.
 
     The component rows of a matrix are its n(n+1)/2 distinct entries (six
     for n = 3; ``_components``, ``_matrices``).  Eigenvalues and
@@ -743,39 +746,26 @@ class Spd(Manifold):
         x^-1/2, 2k rows."""
         return _blockwise(_roots, x)
 
-    def _split_state(self, x, state):
-        """x^1/2 and x^-1/2, from ``state`` when given."""
-        return np.split(self._point_state_rows(x) if state is None
-                        else state, 2)
+    def _log_and_dist_rows(self, s, y):
+        return _blockwise(lambda *a: _log_block(*a)[:2], *np.split(s, 2), y)
 
-    def _log_and_dist_rows(self, x, y, state=None):
-        rt, irt = self._split_state(x, state)
-        return _blockwise(lambda *a: _log_block(*a)[:2], rt, irt, y)
-
-    def _exp_and_norm_rows(self, x, v, state=None):
-        rt, irt = self._split_state(x, state)
-
+    def _exp_and_norm_rows(self, s, v):
         def block(rt, irt, v):
             w, q = _eigh_sym(_congruence(irt, v))
             return (_congruence(rt, _recompose(q, np.exp(w))),
                     np.sqrt(np.sum(w * w, axis=0)))
-        return _blockwise(block, rt, irt, v)
+        return _blockwise(block, *np.split(s, 2), v)
 
-    def _edge_log_and_dist_rows(self, p, src, dst, rev, state=None):
+    def _edge_log_and_dist_rows(self, p, s, src, dst, rev):
         """One ``_log_mid`` per undirected pair, with the roots of each
-        source vertex read from ``state`` (or decomposed once per distinct
-        source vertex); the reverse of an evaluated edge comes from the
-        identity in the class docstring."""
+        source vertex read from the point state ``s``; the reverse of an
+        evaluated edge comes from the identity in the class docstring."""
         direct = np.flatnonzero((rev < 0) | (np.arange(src.size) < rev))
-        at = src[direct]
-        if state is None:
-            verts, at = np.unique(at, return_inverse=True)
-            state = self._point_state_rows(np.take(p, verts, axis=1))
         logs = np.empty((p.shape[0], src.size))
         d = np.empty(src.size)
         for a in range(0, direct.size, _EIGH3_BLOCK):
-            e, v = direct[a:a + _EIGH3_BLOCK], at[a:a + _EIGH3_BLOCK]
-            rt_e, irt_e = np.split(np.take(state, v, axis=1), 2)
+            e = direct[a:a + _EIGH3_BLOCK]
+            rt_e, irt_e = np.split(np.take(s, src[e], axis=1), 2)
             y = np.take(p, dst[e], axis=1)
             logs[:, e], d[e], rm = _log_block(rt_e, irt_e, y)
             pair = np.flatnonzero(rev[e] >= 0)
@@ -786,24 +776,23 @@ class Spd(Manifold):
             d[rev[e[pair]]] = d[e[pair]]
         return logs, d
 
-    def _dist_rows(self, x, y, state=None):
+    def _dist_rows(self, s, y):
         return _blockwise(lambda irt, y: np.sqrt(np.sum(
-            _log_mid(irt, y)[1] ** 2, axis=0)),
-            self._split_state(x, state)[1], y)
+            _log_mid(irt, y)[1] ** 2, axis=0)), np.split(s, 2)[1], y)
 
-    def _transport_rows(self, x, y, v, state=None):
+    def _transport_rows(self, s, y, v):
         # e v e^T = x^1/2 E (x^-1/2 v x^-1/2) E x^1/2, E = Exp(Delta/2)
         def block(rt, irt, y, v):
             mu, p = _eigh_sym(_congruence(irt, y))
             half = _recompose(p, np.sqrt(np.maximum(mu, EIG_CLAMP)))
             return _congruence(rt, _congruence(half, _congruence(irt, v)))
-        return _blockwise(block, *self._split_state(x, state), y, v)
+        return _blockwise(block, *np.split(s, 2), y, v)
 
-    def _inner_rows(self, x, u, v, state=None):
+    def _inner_rows(self, s, u, v):
         # trace(x^-1 u x^-1 v) = <x^-1/2 u x^-1/2, x^-1/2 v x^-1/2>_F
         return _blockwise(lambda irt, u, v: _frobenius(
-            _congruence(irt, u), _congruence(irt, v)),
-            self._split_state(x, state)[1], u, v)
+            _congruence(irt, u), _congruence(irt, v)), np.split(s, 2)[1],
+            u, v)
 
     # -- kernel operations ---------------------------------------------
 
@@ -813,7 +802,7 @@ class Spd(Manifold):
         # draw is isotropic w.r.t. the affine-invariant metric at x.
         x = self._check_shape(x)
         g = rng.normal(0.0, sigma / 2.0, size=x.shape)
-        (_, s), state, batch = self._batch_rows(x, g + np.swapaxes(g, -1, -2))
+        (state, s), batch = self._batch_rows(x, g + np.swapaxes(g, -1, -2))
         return _matrices(_blockwise(_congruence, np.split(state, 2)[0], s),
                          batch)
 

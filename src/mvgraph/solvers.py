@@ -43,11 +43,11 @@ One sweep function serves ``solve``, ``explicit_step`` and ``jacobi_step``:
 it computes ``R`` and the step direction once from the current iterate's
 pass, takes the exponential, checks that the new iterate is finite at its
 active vertices, then runs the new iterate's pass.  That pass is the
-iterate's point state (on Spd its roots x^{+-1/2}, decomposed once), its
-edge logs and distances and its fidelity logs and distances.  The edge part
-is the admissibility check (an active edge beyond the injectivity bound
-raises an injectivity error); in ``solve`` the whole pass is the next
-sweep's ``R`` and exponential, the energy-trace entry and the final
+iterate's edge logs and distances and its fidelity logs and distances, read
+at its point state (on Spd its roots x^{+-1/2}, which the row function
+takes once).  The edge part is the admissibility check (an active edge
+beyond the injectivity bound raises an injectivity error); in ``solve`` the
+whole pass is the next sweep's ``R``, the energy-trace entry and the final
 residual: one pass per iterate.  With ``halve_dt_on_injectivity`` a
 violating explicit sweep of ``solve`` redoes the exponential, the check and
 the edge pass at halved dt; ``dt_trace`` records the dt each sweep used.
@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (EPS_SMOOTH_DEFAULT, _edge_pass, _energy,
+from .calculus import (EPS_SMOOTH_DEFAULT, _edge_logs, _energy,
                        _iterate_pass, _residual, _scatter)
 from .errors import ConfigError, DivergenceError, DomainError, InjectivityError
 from .fields import VertexFunction
@@ -183,8 +183,8 @@ def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
     public = it is None
     check_new = not public or np.isfinite(f.manifold.injectivity_radius)
 
-    def finite_exp(x, v, state):
-        y, t = f.manifold._exp_and_norm_rows(x, v, state)
+    def finite_exp(s, v):
+        y, t = f.manifold._exp_and_norm_rows(s, v)
         if np.isfinite(y).all():
             return y, t
         raise DivergenceError(f"{label} diverged: its iterate is not finite")
@@ -202,10 +202,10 @@ def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
         dt = cfg.dt
         for _ in range(_MAX_HALVINGS):
             step = direction if scheme == "jacobi" else dt * direction
-            rows, t = f._on_active(finite_exp, step, it.state, fill=f.rows)
+            rows, t = f._on_active(finite_exp, f.state, step, fill=f.rows)
             new = f.with_rows(rows)
             try:
-                edges = _edge_pass(graph, new) if check_new else None
+                edges = _edge_logs(graph, new) if check_new else None
                 break
             except InjectivityError:
                 if scheme == "jacobi" or not halve:
@@ -266,9 +266,10 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
             raise DomainError("init must match the data's manifold and size")
         start = VertexFunction(f0.manifold, init.values, f0.mask,
                                validate=False)
-    # the sweeps run on component rows, converted once here and once back
+    # the sweeps run on component rows, converted once here and once back;
+    # the data shares the start rows but keeps no point state alive
     f = start._to_rows()
-    data = f if init is None else f0._to_rows()
+    data = f.with_rows(f.rows) if init is None else f0._to_rows()
 
     it = _iterate_pass(graph, f, data, cfg.lam)
     etrace = None
@@ -292,7 +293,7 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
             break
 
     R, _ = _residual(graph, f, cfg.lam, cfg.p, cfg.model, cfg.eps_smooth, it)
-    rmax = f.max_norm(R, it.state)
+    rmax = f.max_norm(R)
     if reason == "converged":
         bound = (JACOBI_RESIDUAL_FACTOR * cfg.lam * cfg.stop_tol
                  if cfg.scheme == "jacobi"

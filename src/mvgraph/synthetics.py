@@ -63,6 +63,9 @@ def add_noise(f: VertexFunction, spec: NoiseSpec) -> VertexFunction:
     Masked vertices are copied untouched; sigma = 0 returns an exact copy.
     On the circle the wrapped-Gaussian and Riemannian-Gaussian kinds are the
     same construction; the wrapped kind is refused on other manifolds.
+    Raises DomainError, naming sigma, when a noisy value is not a point of
+    the manifold (on Spd a large sigma overflows the matrix exponential, or
+    the eigensolver fails on the tangent draw).
     """
     spec.validate()
     if spec.kind == "wrapped-gaussian" and f.manifold.kind != "circle":
@@ -75,8 +78,16 @@ def add_noise(f: VertexFunction, spec: NoiseSpec) -> VertexFunction:
 
     def noisy(x):
         xi = m.random_tangent(m._points(x, x.shape[1:]), spec.sigma, rng)
-        return m._exp_and_norm_rows(x, m._rows(xi))[0]
-    return f._with_rows(f._to_rows()._on_active(noisy))
+        return m._exp_and_norm_rows(m._point_state_rows(x), m._rows(xi))[0]
+    fr = f._to_rows()
+    try:
+        with np.errstate(all="ignore"):
+            out = f._with_rows(fr._on_active(noisy, fr.rows))
+        out.check_points()
+    except (DomainError, np.linalg.LinAlgError) as err:
+        raise DomainError(f"noise at sigma {spec.sigma:g} leaves the "
+                          f"manifold: {err}") from None
+    return out
 
 
 def mse(f: VertexFunction, g: VertexFunction) -> float:

@@ -275,9 +275,9 @@ def test_grad_div_identity_makes_one_edge_pass(rng):
     rows = []
 
     class CountingEuclidean(Euclidean):
-        def _log_and_dist_rows(self, x, y, state=None):
+        def _log_and_dist_rows(self, x, y):
             rows.append(x.shape[-1])
-            return super()._log_and_dist_rows(x, y, state)
+            return super()._log_and_dist_rows(x, y)
 
     e = CountingEuclidean(2)
     g = grid_graph(4, 4)
@@ -787,3 +787,41 @@ def test_spd_edge_pass_decomposes_once_per_vertex_and_pair(rng, monkeypatch):
     n, m = g.n_vertices, g.n_edges
     # two per directed edge before: x^{+-1/2} and Log of the mid matrix
     assert matrices and sum(matrices) <= n + m // 2
+
+
+def test_spd_operators_decompose_each_root_once(rng, monkeypatch):
+    matrices = []
+    eigh_sym = mvgraph.manifolds._eigh_sym
+
+    def counting(c):
+        matrices.append(int(np.prod(np.shape(c)[1:])))
+        return eigh_sym(c)
+
+    s = Spd(3)
+    g = random_symmetric_graph(rng, 40)
+    f, f0 = (VertexFunction(s, random_point(s, rng, 40)) for _ in range(2))
+    H, K = edge_fn(g, f, rng), edge_fn(g, f, rng)
+    n, m = g.n_vertices, g.n_edges
+    # the roots x^{+-1/2} of each function once per vertex, plus one mid
+    # matrix x^{-1/2} y x^{-1/2} per distance, evaluated log or transport
+    bounds = {
+        "energy_aniso": (lambda: energy_aniso(g, f, f0, 1.0, 1.0), 2 * n + m),
+        "vertex_norm_p": (lambda: vertex_norm_p(g, f, 1.0), n + m),
+        "edge_inner": (lambda: edge_inner(g, f, H, K), n),
+        "edge_norm_pq": (lambda: edge_norm_pq(g, f, H, 2.0, 1.0), n),
+        "divergence": (lambda: divergence(g, f, H), n + m),
+        # two edge passes of n + m/2, and a transport per edge
+        "symmetric_map": (lambda: symmetric_map(g, f, f0), 2 * n + 2 * m),
+    }
+    monkeypatch.setattr(mvgraph.manifolds, "_eigh_sym", counting)
+    for name, (op, bound) in bounds.items():
+        matrices.clear()
+        op()
+        assert matrices and sum(matrices) <= bound, name
+
+
+@pytest.mark.parametrize("manifold", [Sphere2(), Circle()], ids=str)
+def test_point_state_of_unmasked_points_is_their_rows(manifold, rng):
+    # so the sweeps on sphere and circle data copy nothing for it
+    f = clustered_vertex_function(manifold, rng, 12)._to_rows()
+    assert f.state is f.rows

@@ -121,6 +121,20 @@ def test_noise_negative_seed_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", [40, 1000])
+def test_noise_off_the_manifold_exits_3(tmp_path, sigma, capsys):
+    clean = tmp_path / "c.mvd"
+    run("generate", "--kind", "spd-sphere", "--shape", 50, "--out", clean)
+    out = tmp_path / "n.mvd"
+    capsys.readouterr()
+    assert run("noise", "--in", clean, "--sigma", sigma, "--seed", 1,
+               "--out", out) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: noise at sigma {sigma} leaves")
+    assert not out.exists()
+
+
 def test_eval_self_is_zero(tmp_path, capsys):
     clean = tmp_path / "c.mvd"
     run("generate", "--kind", "phase", "--shape", 16, 16, "--out", clean)

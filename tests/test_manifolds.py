@@ -147,14 +147,15 @@ def test_public_kernels_keep_the_point_layout(manifold, rng):
     one = manifold.exp_and_norm(x[1, 2], v)
     every = manifold.exp_and_norm(np.broadcast_to(x[1, 2], x.shape), v)
     assert all(np.array_equal(a, b) for a, b in zip(one, every))
-    state = manifold._point_state_rows(manifold._rows(x))
+    rows = manifold._rows(x)
+    state = manifold._point_state_rows(rows)
     if isinstance(manifold, Spd):
         k = manifold.intrinsic_dim
         assert state.shape == (2 * k, 10)
         rt = _matrices(state[:k], (2, 5))
         np.testing.assert_allclose(rt @ rt, x, atol=1e-12)
     else:
-        assert state is None
+        assert state is rows
 
 
 def test_descriptor_mismatch_rejected():

@@ -487,17 +487,17 @@ def test_solve_makes_one_edge_pass_per_iterate(rng):
     rows = []
 
     class CountingSphere2(Sphere2):
-        def _log_and_dist_rows(self, x, y, state=None):
+        def _log_and_dist_rows(self, x, y):
             rows.append(x.shape[-1])
-            return super()._log_and_dist_rows(x, y, state)
+            return super()._log_and_dist_rows(x, y)
 
         def dist(self, x, y):
             rows.append(len(x))
             return super().dist(x, y)
 
-        def _dist_rows(self, x, y, state=None):
+        def _dist_rows(self, x, y):
             rows.append(x.shape[-1])
-            return super()._dist_rows(x, y, state)
+            return super()._dist_rows(x, y)
 
     s = CountingSphere2()
     g = grid_graph(6, 5)
@@ -515,11 +515,14 @@ def test_explicit_step_on_flat_data_makes_one_edge_pass(rng, monkeypatch):
     calls = []
     edge_logs = mvgraph.calculus._edge_logs
 
-    def counting(graph, f, state=None):
+    def counting(graph, f):
         calls.append(f)
-        return edge_logs(graph, f, state)
+        return edge_logs(graph, f)
 
+    # the iterate's pass calls it from calculus, the check of a new
+    # iterate from solvers
     monkeypatch.setattr(mvgraph.calculus, "_edge_logs", counting)
+    monkeypatch.setattr(mvgraph.solvers, "_edge_logs", counting)
     g = grid_graph(4, 4)
     f0 = VertexFunction(Euclidean(2), rng.normal(size=(16, 2)))
     explicit_step(g, f0, f0, cfg(lam=0.5))
@@ -552,7 +555,7 @@ def test_spd_sweep_decomposes_each_matrix_once(rng, monkeypatch):
         solve(g, f0, cfg(scheme="jacobi", lam=1.0, max_iters=k,
                          stop_tol=0.0), init=f)
         # the start iterate's pass takes no exp, and the norm of the final
-        # residual reads the roots of the returned iterate from its pass
+        # residual reads the roots the returned iterate took for its pass
         assert sum(matrices) <= (k + 1) * sweep - n
 
 

@@ -167,8 +167,9 @@ def test_empty_batches(k):
     assert m.dist(np.eye(k), x).shape == (0,)
     assert m.exp(x, x).shape == (0, k, k)
     none = np.zeros(0, dtype=np.int64)
-    logs, d = m._edge_log_and_dist_rows(m._rows(np.eye(k)[None]), none, none,
-                                        none)
+    p = m._rows(np.eye(k)[None])
+    logs, d = m._edge_log_and_dist_rows(p, m._point_state_rows(p), none,
+                                        none, none)
     assert logs.shape == (m.intrinsic_dim, 0) and d.shape == (0,)
 
 

@@ -6,6 +6,8 @@ pin the documented structural guarantees (exact symmetry, pole centers,
 smooth backgrounds, canonical angles).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,17 @@ def test_wrapped_gaussian_is_circle_only():
     b = add_noise(fc, NoiseSpec(kind="riemannian-gaussian", sigma=0.3,
                                 rng_seed=5))
     np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("sigma", [40.0, 1000.0, 1e308])
+def test_spd_noise_off_the_manifold_is_refused(sigma):
+    # at 40 some noisy matrices are not positive definite, at 1000 the
+    # matrix exponential overflows, at 1e308 the tangent draw does and the
+    # eigensolver fails; none may come back as a point
+    _, f = gen_spd_on_sphere(50)
+    with pytest.raises(DomainError,
+                       match=re.escape(f"sigma {sigma:g} leaves")):
+        add_noise(f, NoiseSpec(sigma=sigma, rng_seed=1))
 
 
 @pytest.mark.parametrize("manifold,n,dim", [
