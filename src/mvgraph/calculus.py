@@ -238,11 +238,13 @@ def local_variation(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("variation exponent must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    # only the out-edges of u and their endpoints are converted to rows
+    # only the out-edges of u are converted to rows; u's point state is
+    # taken once (from no point when none of its out-edges is active)
     edges = graph.out_edges(u)
     m, h = f.manifold, H.values[edges]
     norms = _on_active_edges(graph, f, lambda src, dst, sel, _: m._norm_rows(
-        m._point_state_rows(m._rows(f.values[src])), m._rows(h[sel])), edges)
+        m._point_state_rows(m._rows(f.values[src[:1]]))[:, np.zeros_like(src)],
+        m._rows(h[sel])), edges)
     return float(np.sum(norms ** q) ** (1.0 / q))
 
 

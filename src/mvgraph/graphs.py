@@ -309,6 +309,14 @@ def _patch_psm_candidates(f, shape, s, window=None):
     squared distance field of one shift is box-filtered over the patch,
     which yields the patch distance of every pixel to its shifted partner
     at once.
+
+    The patch distance is symmetric, so the field and the box filter run
+    only for the canonical member of each pair of displacements d and -d,
+    the one with the smaller flat offset; the rows of -d, which come after
+    them in the same block, are a gather of those of d.  Direction rule:
+    the pixel distance between p and q = p + d is ``dist(x_p, x_q)`` for
+    canonical d, and for a self-inverse d (d = -d) with p the smaller
+    pixel, so psm2(i, j) == psm2(j, i) bit for bit.
     """
     h, w = _grid_shape(f, shape)
     n = h * w
@@ -327,18 +335,38 @@ def _patch_psm_candidates(f, shape, s, window=None):
                              indexing="ij")
         disps = np.unique((dr % h) * w + dc % w)
         disps = disps[disps != 0]
+    # the displacement sets are closed under negation; keep one of each pair
+    dr, dc = np.divmod(disps, w)
+    negs = -dr % h * w + -dc % w
+    canon = disps <= negs
+    disps, negs = disps[canon], negs[canon]
     rows, cols = np.arange(h)[:, None], np.arange(w)
     active = f.active
+    masked = not active.all()
     vals = f.values
-    block = max(1, _BLOCK_PAIRS // n)
+    block = max(1, _BLOCK_PAIRS // (2 * n))
     for start in range(0, disps.size, block):
-        dr, dc = np.divmod(disps[start:start + block, None, None], w)
-        perms = ((rows + dr) % h * w + (cols + dc) % w).reshape(-1, n)
-        d = f.manifold.dist(vals, vals[perms])
-        a = d * d
-        a *= active[None, :]
-        a *= active[perms]
-        yield _box_sum(a.reshape(-1, h, w), s).reshape(-1, n), perms
+        fwd, neg = disps[start:start + block], negs[start:start + block]
+        pair = fwd != neg
+        dr, dc = np.divmod(np.concatenate([fwd, neg[pair]])[:, None, None], w)
+        cand = ((rows + dr) % h * w + (cols + dc) % w).reshape(-1, n)
+        b = fwd.size
+        perms = cand[:b]
+        a = f.manifold.dist(vals, vals[perms])
+        a *= a
+        if masked:
+            a *= active[None, :]
+            a *= active[perms]
+        for r in np.flatnonzero(~pair):
+            # a self-inverse d joins p and p + d in both directions; both
+            # read the distance taken from the smaller pixel
+            a[r] = a[r, np.minimum(np.arange(n), perms[r])]
+        psm2 = np.empty(cand.shape)
+        psm2[:b] = _box_sum(a.reshape(-1, h, w), s).reshape(-1, n)
+        del a   # not held while the caller merges the block
+        # psm2 of -d at pixel i is that of d at i - d, its candidate
+        psm2[b:] = np.take_along_axis(psm2[:b][pair], cand[b:], axis=1)
+        yield psm2, cand
 
 
 def _top_k(vals, idx, k):
@@ -372,7 +400,12 @@ def knn_patch_graph(f, shape, k, s, window=None) -> WeightedGraph:
     w(u,v) <- max(w(u,v), w(v,u)) over the union of the edge sets.
 
     The candidates stream through a running top-k per pixel, so memory
-    grows with n * k, not with the n^2 candidate pairs.
+    grows with n * k, not with the n^2 candidate pairs.  The patch
+    distance is symmetric bit for bit: the pixel distance of p and q is
+    taken in the direction of the one of q - p and p - q with the smaller
+    flat offset, from the smaller pixel when the two are equal.  The top-k
+    keeps the k smallest candidates under the total order (value, index),
+    so the graph does not depend on the order they arrive in.
     """
     h, w = _grid_shape(f, shape)
     n = h * w
@@ -385,10 +418,15 @@ def knn_patch_graph(f, shape, k, s, window=None) -> WeightedGraph:
     topv = np.full((n, k), np.inf)
     topi = np.full((n, k), n)
     count = np.zeros(n, dtype=np.int64)
+    masked = not active.all()
     for psm2, cand in _patch_psm_candidates(f, shape, s, window=window):
-        valid = active[cand] & (cand != np.arange(n))
-        count += valid.sum(axis=0)
-        psm2[~valid] = np.inf
+        # no nonzero displacement takes a pixel to itself
+        if masked:
+            valid = active[cand]
+            count += valid.sum(axis=0)
+            psm2[~valid] = np.inf
+        else:
+            count += cand.shape[0]
         # merge only the rows where a candidate can enter the top k
         hit = np.flatnonzero((psm2 <= topv.max(axis=1)).any(axis=0))
         topv[hit], topi[hit] = _top_k(

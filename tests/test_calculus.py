@@ -820,6 +820,26 @@ def test_spd_operators_decompose_each_root_once(rng, monkeypatch):
         assert matrices and sum(matrices) <= bound, name
 
 
+def test_local_variation_decomposes_the_root_of_u_once(rng, monkeypatch):
+    matrices = []
+    eigh_sym = mvgraph.manifolds._eigh_sym
+
+    def counting(c):
+        matrices.append(int(np.prod(np.shape(c)[1:])))
+        return eigh_sym(c)
+
+    s = Spd(3)
+    g = random_symmetric_graph(rng, 40)
+    f = VertexFunction(s, random_point(s, rng, 40))
+    H = edge_fn(g, f, rng)
+    u = int(np.argmax(g.out_degree))
+    assert g.out_degree[u] > 1
+    monkeypatch.setattr(mvgraph.manifolds, "_eigh_sym", counting)
+    local_variation(g, f, H, u)
+    # the roots of u, not one copy per out-edge
+    assert sum(matrices) == 1
+
+
 @pytest.mark.parametrize("manifold", [Sphere2(), Circle()], ids=str)
 def test_point_state_of_unmasked_points_is_their_rows(manifold, rng):
     # so the sweeps on sphere and circle data copy nothing for it

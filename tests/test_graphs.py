@@ -257,6 +257,61 @@ def test_patch_distance_matches_brute_force(rng):
             _assert_psm_matches_brute(f, (h, w), s, window=window)
 
 
+def _psm_matrix(f, shape, s, window=None):
+    """The candidate stream as an (n, n) array, NaN where no candidate."""
+    n = f.n_vertices
+    psm = np.full((n, n), np.nan)
+    for psm2, cand in _patch_psm_candidates(f, shape, s, window=window):
+        psm[np.arange(n), cand] = psm2
+    return psm
+
+
+@pytest.mark.parametrize("manifold", [Circle(), Sphere2(), Spd(2)], ids=str)
+@pytest.mark.parametrize("masked", [False, True])
+def test_patch_distance_is_symmetric_bit_for_bit(manifold, masked, rng):
+    # 4 x 6 has the self-inverse displacements (2, 0), (0, 3) and (2, 3);
+    # spread-out values put many circle pairs in the wrap branch, where
+    # dist(x, y) and dist(y, x) can differ in the last bit
+    h, w = 4, 6
+    mask = rng.random(h * w) > 0.2 if masked else None
+    f = VertexFunction(manifold, random_point(manifold, rng, h * w), mask)
+    for window in (None, 1, 2):
+        psm = _psm_matrix(f, (h, w), 1, window)
+        seen = ~np.isnan(psm)
+        assert np.array_equal(seen, seen.T)
+        assert np.array_equal(psm[seen], psm.T[seen]), window
+
+
+@pytest.mark.parametrize("shape, window", [
+    ((4, 6), None), ((5, 5), None), ((1, 2), None), ((6, 8), 2),
+    ((4, 6), 2), ((7, 9), 1)])
+def test_patch_box_sums_run_once_per_displacement_pair(shape, window,
+                                                        monkeypatch):
+    # d and -d share one box sum; a self-inverse d (d = -d) has its own
+    h, w = shape
+    if window is None:
+        disps = {(dr, dc) for dr in range(h) for dc in range(w)}
+    else:
+        wr, wc = min(window, h - 1), min(window, w - 1)
+        disps = {(dr % h, dc % w) for dr in range(-wr, wr + 1)
+                 for dc in range(-wc, wc + 1)}
+    disps.discard((0, 0))
+    z = sum((-dr % h, -dc % w) == (dr, dc) for dr, dc in disps)
+    box_rows = []
+    box_sum = graphs._box_sum
+
+    def counting(a, s):
+        box_rows.append(a.shape[0])
+        return box_sum(a, s)
+
+    monkeypatch.setattr(graphs, "_box_sum", counting)
+    f = VertexFunction(Circle(), np.zeros((h * w, 1)))
+    rows = sum(c.shape[0] for _, c in _patch_psm_candidates(f, shape, 1,
+                                                            window=window))
+    assert rows == len(disps)
+    assert sum(box_rows) == (len(disps) + z) // 2
+
+
 # ---------------------------------------------------------------------------
 # k-NN patch graphs
 # ---------------------------------------------------------------------------
@@ -405,8 +460,14 @@ def _dense_knn_reference(f, shape, k, s, window=None):
         perms = np.stack([((np.arange(h)[:, None] + dr) % h * w
                            + (np.arange(w)[None, :] + dc) % w).ravel()
                           for dr, dc in chunk])
-        d = f.manifold.dist(
-            np.broadcast_to(vals, (len(chunk),) + vals.shape), vals[perms])
+        base = np.broadcast_to(vals, (len(chunk),) + vals.shape)
+        # the direction rule: the distance of pixel i to j = i + d is taken
+        # from j when (offset of -d, j) < (offset of d, i), else from i
+        flat = np.array([dr * w + dc for dr, dc in chunk])[:, None]
+        neg = np.array([-dr % h * w + -dc % w for dr, dc in chunk])[:, None]
+        back = (neg < flat) | ((neg == flat) & (perms < np.arange(n)))
+        d = np.where(back, f.manifold.dist(vals[perms], base),
+                     f.manifold.dist(base, vals[perms]))
         a = d * d
         a *= active[None, :]
         a *= active[perms]
@@ -503,7 +564,7 @@ def test_knn_matches_dense_reference(case, rng, monkeypatch):
     f = clustered_vertex_function(manifold, rng, n, spread=1.0, mask=mask)
     ref = _dense_knn_reference(f, (h, w), k, s, window)
     _assert_same_graph(knn_patch_graph(f, (h, w), k, s, window=window), ref)
-    # blocks of 7 displacements: the merge runs many times on every case
+    # blocks of 3 displacement pairs: the merge runs many times on every case
     monkeypatch.setattr(graphs, "_BLOCK_PAIRS", 7 * n)
     _assert_same_graph(knn_patch_graph(f, (h, w), k, s, window=window), ref)
 
