@@ -75,29 +75,26 @@ def _reraise_with_edge(err: InjectivityError, src, dst):
         "the log map is undefined there", vertex=u, neighbor=v) from None
 
 
-def _on_active_edges(graph, f, op, edges=slice(None)):
-    """Evaluate ``op(src, dst, sel, rev)`` on the active edges among
-    ``edges`` (a slice of the edge list; all of it by default).
+def _on_active_edges(graph, f, op):
+    """Evaluate ``op(src, dst, sel, rev)`` on the active edges.
 
     Per-edge arrays are scalars (m,) or component rows (k, m), the edge
     axis last.  ``f`` is a vertex function; only its mask is read.  An
     edge is active when both its endpoints are.  ``src``/``dst`` are the
     endpoints of the active edges, ``sel`` selects their columns from
-    per-edge arrays over ``edges`` and ``rev`` is the reverse edge index
-    among them (the reverse of an active edge is active; -1 when absent),
-    or None for a part of the edge list.  Each array ``op`` returns (one,
-    or a tuple) is spread over ``edges``, with zeros on inactive edges.
+    per-edge arrays and ``rev`` is the reverse edge index among them (the
+    reverse of an active edge is active; -1 when absent).  Each array
+    ``op`` returns (one, or a tuple) is spread over all edges, with zeros
+    on inactive edges.
     """
-    src, dst = graph.src[edges], graph.dst[edges]
-    rev = graph.reverse_edge_index if edges == slice(None) else None
+    src, dst, rev = graph.src, graph.dst, graph.reverse_edge_index
     if f.mask is None:
         return op(src, dst, slice(None), rev)
     keep = np.flatnonzero(f.mask[src] & f.mask[dst])
-    if rev is not None:
-        pos = np.full(graph.n_edges, -1)
-        pos[keep] = np.arange(keep.size)
-        rev = np.where(rev[keep] >= 0, pos[rev[keep]], -1)
-    return _spread(op(src[keep], dst[keep], keep, rev), keep, src.size)
+    pos = np.full(graph.n_edges, -1)
+    pos[keep] = np.arange(keep.size)
+    rev = np.where(rev[keep] >= 0, pos[rev[keep]], -1)
+    return _spread(op(src[keep], dst[keep], keep, rev), keep, graph.n_edges)
 
 
 def edge_logs(graph, f: VertexFunction):
@@ -153,15 +150,13 @@ def directional_derivative(graph, f: VertexFunction, u: int, v: int):
     """
     _check_pair(graph, f)
     e = graph.edge_index(u, v)
-    m = f.manifold
-    if e < 0:
-        return np.zeros(m.point_shape)
-    lg = _on_active_edges(
-        graph, f, lambda src, dst, sel, _: m._log_and_dist_rows(
-            m._point_state_rows(m._rows(f.values[src])),
-            m._rows(f.values[dst]))[0],
-        slice(e, e + 1))
-    return m._points(np.sqrt(graph.weight[e]) * lg, (1,))[0]
+    if e < 0 or not (f.active[u] and f.active[v]):
+        return np.zeros(f.manifold.point_shape)
+    try:
+        lg = f.manifold.log(f.values[u], f.values[v])
+    except InjectivityError as err:
+        _reraise_with_edge(err, [u], [v])
+    return np.sqrt(graph.weight[e]) * lg
 
 
 def gradient(graph, f: VertexFunction) -> TangentEdgeFunction:
@@ -185,8 +180,11 @@ def _div_terms(graph, f, h):
         t = -sw * hs
         j = np.flatnonzero(rev >= 0)
         r = rev[j]
-        t[:, j] += sw[r] * m._transport_rows(f.state[:, dst[j]],
-                                             f.rows[:, src[j]], hs[:, r])
+        try:
+            t[:, j] += sw[r] * m._transport_rows(f.state[:, dst[j]],
+                                                 f.rows[:, src[j]], hs[:, r])
+        except InjectivityError as err:
+            _reraise_with_edge(err, src[j], dst[j])
         return 0.5 * t
     return _on_active_edges(graph, f, op)
 
@@ -238,14 +236,12 @@ def local_variation(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("variation exponent must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    # only the out-edges of u are converted to rows; u's point state is
-    # taken once (from no point when none of its out-edges is active)
+    # the tangents on the active out-edges of u, all at the one point f(u)
     edges = graph.out_edges(u)
-    m, h = f.manifold, H.values[edges]
-    norms = _on_active_edges(graph, f, lambda src, dst, sel, _: m._norm_rows(
-        m._point_state_rows(m._rows(f.values[src[:1]]))[:, np.zeros_like(src)],
-        m._rows(h[sel])), edges)
-    return float(np.sum(norms ** q) ** (1.0 / q))
+    h = H.values[edges][f.active[graph.dst[edges]] & f.active[u]]
+    if not h.shape[0]:
+        return 0.0
+    return float(np.sum(f.manifold.norm(f.values[u], h) ** q) ** (1.0 / q))
 
 
 def grad_div_identity(graph, f: VertexFunction, H: TangentEdgeFunction):
@@ -287,8 +283,14 @@ def symmetric_map(graph, f: VertexFunction, g: VertexFunction) -> float:
     m = f.manifold
 
     def op(src, dst, sel, _):
-        return m._inner_rows(f.state[:, src], lf[:, sel], m._transport_rows(
-            g.state[:, src], f.rows[:, src], lg[:, sel]))
+        try:
+            t = m._transport_rows(g.state[:, src], f.rows[:, src], lg[:, sel])
+        except InjectivityError as err:
+            u = int(src[err.vertex])
+            raise InjectivityError(f"symmetric map undefined at vertex {u}: "
+                                   "f and g are (numerically) antipodal "
+                                   "there", vertex=u) from None
+        return m._inner_rows(f.state[:, src], lf[:, sel], t)
     return float(np.sum(_on_active_edges(graph, f, op)))
 
 

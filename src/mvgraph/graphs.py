@@ -119,10 +119,6 @@ class WeightedGraph:
             self._sqrt_weight = np.sqrt(self.weight)
         return self._sqrt_weight
 
-    @property
-    def out_degree(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     def _check_vertex(self, u):
         if not (isinstance(u, (int, np.integer)) and 0 <= u < self.n_vertices):
             raise DomainError(
@@ -132,11 +128,6 @@ class WeightedGraph:
         """Positions of the out-edges of u in the edge arrays."""
         self._check_vertex(u)
         return slice(self.indptr[u], self.indptr[u + 1])
-
-    def neighbors(self, u):
-        """(neighbor indices, weights) of the out-edges of u."""
-        out = self.out_edges(u)
-        return self.dst[out], self.weight[out]
 
     def edge_index(self, u, v) -> int:
         """Position of edge (u, v) in the edge arrays, or -1 if absent."""

@@ -161,11 +161,6 @@ def _upper(g):
     return g[rows, cols]
 
 
-def _symmetric_part(g):
-    rows, cols, _ = _layout(g.shape[0])
-    return 0.5 * (g[rows, cols] + g[cols, rows])
-
-
 def _mul(a, b):
     """Matrix product of two grids.  einsum sums a one-column batch with a
     strided operand in another order, so the operands are made contiguous:
@@ -343,8 +338,9 @@ class Manifold:
     defined here, once: it converts its operands with ``_batch_rows``, which
     checks their shapes and takes the point state of the base point, calls
     the row kernel of the same name, and converts the result back with
-    ``_points``.  Subclasses define no public kernel (``Circle.exp``, which
-    also takes scalar angles, is the one exception).
+    ``_points``.  Subclasses define row kernels only, ``random_tangent``'s
+    too; ``Circle.exp``, which also takes scalar angles, is the one public
+    kernel a subclass defines.
     """
 
     kind: str
@@ -421,6 +417,12 @@ class Manifold:
         """``||v||_x`` on rows."""
         return np.sqrt(np.maximum(self._inner_rows(x, v, v), 0.0))
 
+    def _random_tangent_rows(self, x, sigma, rng):
+        """``random_tangent`` on rows (here one normal draw per coordinate,
+        drawn point by point)."""
+        return np.ascontiguousarray(
+            rng.normal(0.0, sigma, size=x.shape[::-1]).T)
+
     def _edge_log_and_dist_rows(self, p, s, src, dst, rev):
         """``_log_and_dist_rows`` from the columns ``src`` of the point
         state ``s`` to the columns ``dst`` of the point rows ``p``, over a
@@ -475,7 +477,8 @@ class Manifold:
 
     def random_tangent(self, x, sigma, rng):
         """Isotropic Gaussian tangent draw: E ||v||_x^2 = sigma^2 * intrinsic_dim."""
-        return rng.normal(0.0, sigma, size=self._check_shape(x).shape)
+        (s,), batch = self._batch_rows(x)
+        return self._points(self._random_tangent_rows(s, sigma, rng), batch)
 
     # -- validation --------------------------------------------------------
 
@@ -617,21 +620,15 @@ class Sphere2(Manifold):
         # numerical hygiene: remove any normal component that crept in
         return out - _dot(out, y) * y
 
-    def random_tangent(self, x, sigma, rng):
-        x = self._check_shape(x)
-        e1, e2 = self._tangent_basis(x)
-        z = rng.normal(0.0, sigma, size=x.shape[:-1] + (2,))
-        return z[..., :1] * e1 + z[..., 1:] * e2
-
-    def _tangent_basis(self, x):
-        # pick the coordinate axis least aligned with x, orthonormalise
-        k = np.argmin(np.abs(x), axis=-1)
+    def _random_tangent_rows(self, x, sigma, rng):
+        # two normal draws per point on the orthonormal tangent basis e1,
+        # x cross e1; e1 is the axis h least aligned with x, orthonormalised
         h = np.zeros_like(x)
-        np.put_along_axis(h, k[..., None], 1.0, axis=-1)
-        e1 = h - np.sum(h * x, axis=-1, keepdims=True) * x
-        e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-        e2 = np.cross(x, e1)
-        return e1, e2
+        h[np.argmin(np.abs(x), axis=0), np.arange(x.shape[1])] = 1.0
+        e1 = h - _dot(h, x) * x
+        e1 = e1 / np.sqrt(_dot(e1, e1))
+        z = rng.normal(0.0, sigma, size=(x.shape[1], 2)).T
+        return z[0] * e1 + z[1] * np.array(_cross(x, e1))
 
     def check_point(self, x):
         x = self._check_shape(x)
@@ -650,45 +647,45 @@ def _roots(c):
     return np.concatenate([_recompose(q, s), _recompose(q, 1.0 / s)])
 
 
-def _log_mid(irt, y):
-    """M = Log(x^-1/2 y x^-1/2) from irt = x^-1/2, and the logs of its
-    eigenvalues."""
-    mu, p = _eigh_sym(_congruence(irt, y))
-    lmu = np.log(np.maximum(mu, EIG_CLAMP))
-    return _recompose(p, lmu), lmu
+def _frame(rt, irt, a):
+    """The eigenvalues w of x^-1/2 a x^-1/2 and the frame B = x^1/2 P of its
+    eigenvectors P, from the roots of x, so that x^1/2 f(x^-1/2 a x^-1/2)
+    x^1/2 = ``_recompose(B, f(w))``."""
+    w, p = _eigh_sym(_congruence(irt, a))
+    return w, _mul(_grid(rt), p)
 
 
 def _log_block(rt, irt, y):
-    """log_x y and dist(x, y) from the roots of x, and the grid x^1/2 M
-    that the reverse edge reuses."""
-    mid, lmu = _log_mid(irt, y)
-    r = _grid(rt)
-    rm = _mul(r, _grid(mid))
-    return _upper(_mul(rm, r)), np.sqrt(np.sum(lmu * lmu, axis=0)), rm
+    """log_x y and dist(x, y) from the roots of x, and the frame B and
+    eigenvalues mu log mu of which -log_y x is the recomposition."""
+    mu, b = _frame(rt, irt, y)
+    lmu = np.log(np.maximum(mu, EIG_CLAMP))
+    return (_recompose(b, lmu), np.sqrt(np.sum(lmu * lmu, axis=0)), b,
+            mu * lmu)
 
 
 @dataclass(frozen=True)
 class Spd(Manifold):
     """Symmetric positive definite matrices with the affine-invariant metric.
 
-    Closed forms used throughout (all via eigendecompositions of symmetric
-    matrices):
+    Closed forms used throughout, from the eigenpairs (mu, P) of the mid
+    matrix x^-1/2 a x^-1/2 and the frame B = x^1/2 P (``_frame``), for
+    which x^1/2 f(x^-1/2 a x^-1/2) x^1/2 = B diag(f(mu)) B^T:
 
-    * dist(x, y)   = || Log(x^-1/2 y x^-1/2) ||_F
-    * log_x(y)     = x^1/2 Log(x^-1/2 y x^-1/2) x^1/2
-    * exp_x(v)     = x^1/2 Exp(x^-1/2 v x^-1/2) x^1/2
+    * dist(x, y)   = ||log mu|| for a = y: the eigenvalues only
+    * log_x(y)     = B diag(log mu) B^T
+    * log_y(x)     = -B diag(mu log mu) B^T and dist(y, x) = dist(x, y),
+      since y = B diag(mu) B^T and B^T x^-1/2 = P^T (Pennec, Fillard &
+      Ayache 2006, "A Riemannian framework for tensor computing").
+      ``_edge_log_and_dist_rows`` fills the reverse of each evaluated edge
+      this way, so an edge pass costs one eigendecomposition and five grid
+      products per undirected edge (two for the mid matrix, one for B, one
+      per direction), on top of the roots in the point state.
+    * exp_x(v)     = C diag(e^w) C^T for the frame C of a = v (four
+      products), and dist(x, exp_x v) = ||v||_x = ||w||.
     * transport    = e v e^T with e = x^1/2 Exp(Delta/2) x^-1/2,
       Delta = Log(x^-1/2 y x^-1/2); this is the geodesic transport and an
       exact isometry of the metric.
-    * log_y(x)     = -y x^-1/2 M x^1/2 and dist(y, x) = dist(x, y), with
-      M = Log(x^-1/2 y x^-1/2) (Pennec, Fillard & Ayache 2006, "A
-      Riemannian framework for tensor computing"): from log_x y = x Log(x^-1 y)
-      and Log(y^-1 x) = -Log(x^-1 y).  ``_edge_log_and_dist_rows`` fills
-      the reverse of each evaluated edge this way, so an edge pass costs one
-      eigendecomposition per undirected edge, on top of the roots in the
-      point state.
-    * dist(x, exp_x v) = ||v||_x = ||Lambda||_F for the eigenvalues Lambda
-      of x^-1/2 v x^-1/2, which ``exp`` decomposes anyway.
 
     The point state holds x^1/2 and x^-1/2, decomposed once per base
     point; the row kernels read the roots from it, never x itself.
@@ -751,15 +748,15 @@ class Spd(Manifold):
 
     def _exp_and_norm_rows(self, s, v):
         def block(rt, irt, v):
-            w, q = _eigh_sym(_congruence(irt, v))
-            return (_congruence(rt, _recompose(q, np.exp(w))),
-                    np.sqrt(np.sum(w * w, axis=0)))
+            w, c = _frame(rt, irt, v)
+            return _recompose(c, np.exp(w)), np.sqrt(np.sum(w * w, axis=0))
         return _blockwise(block, *np.split(s, 2), v)
 
     def _edge_log_and_dist_rows(self, p, s, src, dst, rev):
-        """One ``_log_mid`` per undirected pair, with the roots of each
+        """One ``_log_block`` per undirected pair, with the roots of each
         source vertex read from the point state ``s``; the reverse of an
-        evaluated edge comes from the identity in the class docstring."""
+        evaluated edge is -B diag(mu log mu) B^T in the same frame (class
+        docstring)."""
         direct = np.flatnonzero((rev < 0) | (np.arange(src.size) < rev))
         logs = np.empty((p.shape[0], src.size))
         d = np.empty(src.size)
@@ -767,18 +764,19 @@ class Spd(Manifold):
             e = direct[a:a + _EIGH3_BLOCK]
             rt_e, irt_e = np.split(np.take(s, src[e], axis=1), 2)
             y = np.take(p, dst[e], axis=1)
-            logs[:, e], d[e], rm = _log_block(rt_e, irt_e, y)
+            logs[:, e], d[e], b, back = _log_block(rt_e, irt_e, y)
             pair = np.flatnonzero(rev[e] >= 0)
-            # y x^-1/2 M x^1/2, with M x^1/2 the transpose of x^1/2 M
-            back = _mul(_mul(_grid(y), _grid(irt_e)), rm.transpose(1, 0, 2))
-            logs[:, rev[e[pair]]] = -np.take(_symmetric_part(back), pair,
+            logs[:, rev[e[pair]]] = -np.take(_recompose(b, back), pair,
                                              axis=1)
             d[rev[e[pair]]] = d[e[pair]]
         return logs, d
 
     def _dist_rows(self, s, y):
-        return _blockwise(lambda irt, y: np.sqrt(np.sum(
-            _log_mid(irt, y)[1] ** 2, axis=0)), np.split(s, 2)[1], y)
+        def block(irt, y):
+            mu, _ = _eigh_sym(_congruence(irt, y))
+            lmu = np.log(np.maximum(mu, EIG_CLAMP))
+            return np.sqrt(np.sum(lmu * lmu, axis=0))
+        return _blockwise(block, np.split(s, 2)[1], y)
 
     def _transport_rows(self, s, y, v):
         # e v e^T = x^1/2 E (x^-1/2 v x^-1/2) E x^1/2, E = Exp(Delta/2)
@@ -794,17 +792,14 @@ class Spd(Manifold):
             _congruence(irt, u), _congruence(irt, v)), np.split(s, 2)[1],
             u, v)
 
-    # -- kernel operations ---------------------------------------------
-
-    def random_tangent(self, x, sigma, rng):
-        # s = g + g^T with g ~ N(0, (sigma/2)^2) iid gives Var(s_ii) = sigma^2
-        # and Var(s_ij) = sigma^2/2, so E tr(s^2) = sigma^2 * n(n+1)/2 and the
-        # draw is isotropic w.r.t. the affine-invariant metric at x.
-        x = self._check_shape(x)
-        g = rng.normal(0.0, sigma / 2.0, size=x.shape)
-        (state, s), batch = self._batch_rows(x, g + np.swapaxes(g, -1, -2))
-        return _matrices(_blockwise(_congruence, np.split(state, 2)[0], s),
-                         batch)
+    def _random_tangent_rows(self, s, sigma, rng):
+        # x^1/2 t x^1/2 with t = g + g^T, g ~ N(0, (sigma/2)^2) iid: then
+        # Var(t_ii) = sigma^2 and Var(t_ij) = sigma^2/2, so E tr(t^2) =
+        # sigma^2 * n(n+1)/2 and the draw is isotropic w.r.t. the
+        # affine-invariant metric at x.
+        g = rng.normal(0.0, sigma / 2.0, size=(s.shape[1], self.n, self.n))
+        return _blockwise(_congruence, np.split(s, 2)[0],
+                          _components(g + np.swapaxes(g, -1, -2)))
 
     def check_point(self, x):
         x = self._check_shape(x)

@@ -77,8 +77,9 @@ def add_noise(f: VertexFunction, spec: NoiseSpec) -> VertexFunction:
     m = f.manifold
 
     def noisy(x):
-        xi = m.random_tangent(m._points(x, x.shape[1:]), spec.sigma, rng)
-        return m._exp_and_norm_rows(m._point_state_rows(x), m._rows(xi))[0]
+        s = m._point_state_rows(x)
+        return m._exp_and_norm_rows(
+            s, m._random_tangent_rows(s, spec.sigma, rng))[0]
     fr = f._to_rows()
     try:
         with np.errstate(all="ignore"):

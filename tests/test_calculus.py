@@ -688,6 +688,45 @@ def test_fidelity_injectivity_error_names_the_original_vertex():
     assert exc.value.vertex == 3
 
 
+def test_transport_injectivity_error_in_divergence_names_the_edge():
+    # f(2) and f(3) are antipodal, so the transport along edge (2, 3) is
+    # undefined; the error names that edge, not its position (4) among
+    # the transported terms
+    s = Sphere2()
+    g = grid_graph(1, 4)
+    x = np.array([0.0, 0.6, 0.8])
+    f = VertexFunction(s, np.array([x, x, x, -x]))
+    H = TangentEdgeFunction(g, f, np.zeros((g.n_edges, 3)))
+    with pytest.raises(InjectivityError, match=r"edge \(2, 3\)") as exc:
+        divergence(g, f, H)
+    assert (exc.value.vertex, exc.value.neighbor) == (2, 3)
+
+
+def test_transport_injectivity_error_in_symmetric_map_names_the_vertex():
+    # f(2) and g(2) are antipodal, so the transport from g(2) to f(2) is
+    # undefined; the error names vertex 2, not the position (3) of an
+    # out-edge of vertex 2
+    s = Sphere2()
+    g = path_graph([1.0, 1.0])
+    x, e = np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
+    f = VertexFunction(s, np.array([x, x, x]))
+    h = VertexFunction(s, np.array([e, e, -x]))
+    with pytest.raises(InjectivityError, match="at vertex 2:") as exc:
+        symmetric_map(g, f, h)
+    assert exc.value.vertex == 2
+
+
+def test_directional_derivative_injectivity_error_names_the_edge():
+    # the one log is batch row 0; the error names edge (1, 2) instead
+    s = Sphere2()
+    g = path_graph([1.0, 1.0])
+    x = np.array([0.0, 0.6, 0.8])
+    f = VertexFunction(s, np.array([x, x, -x]))
+    with pytest.raises(InjectivityError, match=r"edge \(1, 2\)") as exc:
+        directional_derivative(g, f, 1, 2)
+    assert (exc.value.vertex, exc.value.neighbor) == (1, 2)
+
+
 def test_quasi_norm_regime_runs(rng):
     c = Circle()
     g = random_symmetric_graph(rng, 8)
@@ -832,8 +871,8 @@ def test_local_variation_decomposes_the_root_of_u_once(rng, monkeypatch):
     g = random_symmetric_graph(rng, 40)
     f = VertexFunction(s, random_point(s, rng, 40))
     H = edge_fn(g, f, rng)
-    u = int(np.argmax(g.out_degree))
-    assert g.out_degree[u] > 1
+    u = int(np.argmax(np.diff(g.indptr)))
+    assert np.diff(g.indptr)[u] > 1
     monkeypatch.setattr(mvgraph.manifolds, "_eigh_sym", counting)
     local_variation(g, f, H, u)
     # the roots of u, not one copy per out-edge

@@ -11,7 +11,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import clustered_vertex_function
+import mvgraph.manifolds
+from conftest import clustered_vertex_function, random_point
 from mvgraph.errors import ConfigError, DomainError
 from mvgraph.calculus import edge_logs
 from mvgraph.fields import VertexFunction
@@ -104,6 +105,23 @@ def test_wrapped_gaussian_is_circle_only():
     b = add_noise(fc, NoiseSpec(kind="riemannian-gaussian", sigma=0.3,
                                 rng_seed=5))
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_spd_noise_decomposes_each_vertex_twice(monkeypatch):
+    # the roots of each vertex, shared by the tangent draw and the step,
+    # and the step's mid matrix: 2n matrices, not 3n
+    matrices = []
+    eigh_sym = mvgraph.manifolds._eigh_sym
+
+    def counting(c):
+        matrices.append(int(np.prod(np.shape(c)[1:])))
+        return eigh_sym(c)
+
+    s = Spd(3)
+    f = VertexFunction(s, random_point(s, np.random.default_rng(3), 40))
+    monkeypatch.setattr(mvgraph.manifolds, "_eigh_sym", counting)
+    add_noise(f, NoiseSpec(sigma=0.25, rng_seed=1))
+    assert sum(matrices) == 80
 
 
 @pytest.mark.parametrize("sigma", [40.0, 1000.0, 1e308])
