@@ -7,6 +7,16 @@ Conventions
   each undirected pair twice, so quantities such as the regularizer energy
   count every pair twice (the ``1/2`` in front of the data term does *not*
   compensate for this -- it is part of the model).
+* Inside, every per-edge array is in the graph's paired layout
+  (``WeightedGraph.paired_edges``): the first edge of each reverse pair,
+  then their reverses in the same order, then the edges without a
+  reverse.  Each pair's log and distance are evaluated once, the reverse
+  following from the reverse-log identity of the geometry
+  (``Manifold._edge_log_and_dist_rows``), and where the two weights of
+  every pair agree the edge coefficients and the anisotropic energy are
+  evaluated once per pair too.  The public operators take and return edge
+  functions in CSR order: each converts at the boundary, once
+  (``_to_layout``, and ``fields._spread`` through the layout's order).
 * Edges with an inactive endpoint contribute nothing: their logs, norms and
   energy terms are taken to be zero, and operator outputs at inactive
   vertices are zero rows.
@@ -34,6 +44,7 @@ import numpy as np
 from .errors import DomainError, InjectivityError
 from .fields import (TangentEdgeFunction, TangentVertexField, VertexFunction,
                      _joint, _spread)
+from .manifolds import _direct
 
 EPS_SMOOTH_DEFAULT = 1e-7
 
@@ -43,14 +54,35 @@ EPS_SMOOTH_DEFAULT = 1e-7
 # ---------------------------------------------------------------------------
 
 def _scatter(graph, terms):
-    """Sum per-edge ``terms``, scalars (m,) or component rows (k, m), over
-    each vertex's out-edges: one ``bincount`` per row, (n,) or (k, n)."""
-    n = graph.n_vertices
+    """Sum per-edge ``terms`` in the paired layout, scalars (m,) or
+    component rows (k, m), over each vertex's out-edges: one ``bincount``
+    per row, (n,) or (k, n)."""
+    n, src = graph.n_vertices, graph.paired_edges.src
     flat = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
     out = np.empty((flat.shape[0], n))
     for row, term in zip(out, flat):
-        row[:] = np.bincount(graph.src, weights=term, minlength=n)
+        row[:] = np.bincount(src, weights=term, minlength=n)
     return out.reshape(terms.shape[:-1] + (n,))
+
+
+def _to_layout(graph, a):
+    """A per-edge array in CSR order (edge axis last) in the paired one."""
+    return np.take(a, graph.paired_edges.order, axis=-1)
+
+
+def _share_pairs(fn, h, *cols):
+    """``fn`` of the per-edge arrays ``cols`` in paired order (h pairs),
+    evaluated on each pair's first edge and on the tail only: the reverse
+    of a pair takes its first edge's value.  Exact where fn's value on an
+    edge equals that on its reverse."""
+    m = cols[0].shape[-1]
+    out = np.empty(m)
+    if h:
+        out[:h] = fn(*(c[:h] for c in cols))
+        out[h:2 * h] = out[:h]
+    if m > 2 * h:
+        out[2 * h:] = fn(*(c[2 * h:] for c in cols))
+    return out
 
 
 def _check_pair(graph, f):
@@ -76,25 +108,26 @@ def _reraise_with_edge(err: InjectivityError, src, dst):
 
 
 def _on_active_edges(graph, f, op):
-    """Evaluate ``op(src, dst, sel, rev)`` on the active edges.
+    """Evaluate ``op(src, dst, sel, h)`` on the active edges.
 
-    Per-edge arrays are scalars (m,) or component rows (k, m), the edge
-    axis last.  ``f`` is a vertex function; only its mask is read.  An
-    edge is active when both its endpoints are.  ``src``/``dst`` are the
-    endpoints of the active edges, ``sel`` selects their columns from
-    per-edge arrays and ``rev`` is the reverse edge index among them (the
-    reverse of an active edge is active; -1 when absent).  Each array
-    ``op`` returns (one, or a tuple) is spread over all edges, with zeros
-    on inactive edges.
+    Per-edge arrays are scalars (m,) or component rows (k, m) in the
+    paired layout, the edge axis last.  ``f`` is a vertex function; only
+    its mask is read.  An edge is active when both its endpoints are, so a
+    pair is active or inactive as a whole and the active edges are again
+    in paired order, with h pairs.  ``src``/``dst`` are their endpoints and
+    ``sel`` selects their columns from per-edge arrays.  Each array ``op``
+    returns (one, or a tuple) is spread over all edges, with zeros on
+    inactive edges.
     """
-    src, dst, rev = graph.src, graph.dst, graph.reverse_edge_index
+    e = graph.paired_edges
     if f.mask is None:
-        return op(src, dst, slice(None), rev)
-    keep = np.flatnonzero(f.mask[src] & f.mask[dst])
-    pos = np.full(graph.n_edges, -1)
-    pos[keep] = np.arange(keep.size)
-    rev = np.where(rev[keep] >= 0, pos[rev[keep]], -1)
-    return _spread(op(src[keep], dst[keep], keep, rev), keep, graph.n_edges)
+        return op(e.src, e.dst, slice(None), e.h)
+    keep = f.mask[e.src] & f.mask[e.dst]
+    pairs = np.flatnonzero(keep[:e.h])
+    sel = np.concatenate([pairs, pairs + e.h,
+                          2 * e.h + np.flatnonzero(keep[2 * e.h:])])
+    return _spread(op(e.src[sel], e.dst[sel], sel, pairs.size), sel,
+                   graph.n_edges)
 
 
 def edge_logs(graph, f: VertexFunction):
@@ -105,35 +138,40 @@ def edge_logs(graph, f: VertexFunction):
     Raises InjectivityError naming the edge when an active edge joins
     values beyond the injectivity bound.
     """
-    logs, d = _edge_logs(graph, f._to_rows())
+    logs, d = _spread(_edge_logs(graph, f._to_rows()),
+                      graph.paired_edges.order, graph.n_edges)
     return f.manifold._points(logs, (graph.n_edges,)), d
 
 
 def _edge_logs(graph, f):
-    """``edge_logs`` of the row function f, the logs as component rows
-    (k, m); this pass is the admissibility check of every iterate."""
+    """``edge_logs`` of the row function f in the paired layout, the logs
+    as component rows (k, m); this pass is the admissibility check of
+    every iterate."""
     _check_pair(graph, f)
 
-    def op(src, dst, sel, rev):
+    def op(src, dst, sel, h):
         try:
             return f.manifold._edge_log_and_dist_rows(f.rows, f.state, src,
-                                                      dst, rev)
+                                                      dst, h)
         except InjectivityError as err:
-            _reraise_with_edge(err, src, dst)
+            _reraise_with_edge(err, _direct(src, h), _direct(dst, h))
     return _on_active_edges(graph, f, op)
 
 
 def _edge_dists(graph, f):
-    """Per-edge geodesic distances of the row function f, zero on inactive
-    edges."""
+    """Per-edge geodesic distances of the row function f in the paired
+    layout, zero on inactive edges; the reverse of a pair takes its first
+    edge's distance."""
     _check_pair(graph, f)
-    return _on_active_edges(graph, f, lambda src, dst, sel, _: (
-        f.manifold._dist_rows(f.state[:, src], f.rows[:, dst])))
+    return _on_active_edges(graph, f, lambda src, dst, sel, h: _share_pairs(
+        lambda s, t: f.manifold._dist_rows(f.state[:, s], f.rows[:, t]), h,
+        src, dst))
 
 
 def _edge_inners(graph, f, A, B):
     """Inner products at f(u) of the per-edge component rows A and B
-    (k, m), f a row function; zero on inactive edges."""
+    (k, m) in the paired layout, f a row function; zero on inactive
+    edges."""
     return _on_active_edges(graph, f, lambda src, dst, sel, _: (
         f.manifold._inner_rows(f.state[:, src], A[:, sel], B[:, sel])))
 
@@ -162,27 +200,31 @@ def directional_derivative(graph, f: VertexFunction, u: int, v: int):
 def gradient(graph, f: VertexFunction) -> TangentEdgeFunction:
     """Edge function grad f(u, v) = sqrt(w(u, v)) log_{f(u)} f(v)."""
     logs, _ = _edge_logs(graph, f._to_rows())
+    e = graph.paired_edges
     return TangentEdgeFunction(graph, f, f.manifold._points(
-        graph.sqrt_weight * logs, (graph.n_edges,)))
+        _spread(e.sqrt_weight * logs, e.order, graph.n_edges),
+        (graph.n_edges,)))
 
 
 def _div_terms(graph, f, h):
     """Per-edge summands of ``divergence`` of the row function f and the
-    edge function with component rows h (k, m), as component rows, zero
-    on inactive edges:
+    edge function with component rows h (k, m), both in the paired
+    layout, as component rows, zero on inactive edges:
     ``1/2 (sqrt(w(v,u)) PT_{f(v)->f(u)} H(v,u) - sqrt(w(u,v)) H(u,v))``,
     the transported reverse term only where the reverse edge exists."""
     m = f.manifold
 
-    def op(src, dst, sel, rev):
+    def op(src, dst, sel, h2):
         hs = h[:, sel]
-        sw = graph.sqrt_weight[sel]
+        sw = graph.paired_edges.sqrt_weight[sel]
         t = -sw * hs
-        j = np.flatnonzero(rev >= 0)
-        r = rev[j]
+        # the reverses of the first 2 h2 edges are the same edges rolled
+        # by h2
+        j = slice(0, 2 * h2)
         try:
-            t[:, j] += sw[r] * m._transport_rows(f.state[:, dst[j]],
-                                                 f.rows[:, src[j]], hs[:, r])
+            t[:, j] += np.roll(sw[j], h2) * m._transport_rows(
+                f.state[:, dst[j]], f.rows[:, src[j]],
+                np.roll(hs[:, j], h2, axis=1))
         except InjectivityError as err:
             _reraise_with_edge(err, src[j], dst[j])
         return 0.5 * t
@@ -195,7 +237,8 @@ def divergence(graph, f: VertexFunction, H: TangentEdgeFunction
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
     m = f.manifold
-    terms = _div_terms(graph, f._to_rows(), m._rows(H.values))
+    terms = _div_terms(graph, f._to_rows(),
+                       _to_layout(graph, m._rows(H.values)))
     return TangentVertexField(f, m._points(_scatter(graph, terms),
                                            (f.n_vertices,)))
 
@@ -211,8 +254,9 @@ def edge_inner(graph, f: VertexFunction, H: TangentEdgeFunction,
     _check_edge_fn(graph, H)
     _check_edge_fn(graph, K)
     m = f.manifold
-    return float(np.sum(_edge_inners(graph, f._to_rows(), m._rows(H.values),
-                                     m._rows(K.values))))
+    return float(np.sum(_edge_inners(
+        graph, f._to_rows(), _to_layout(graph, m._rows(H.values)),
+        _to_layout(graph, m._rows(K.values)))))
 
 
 def edge_norm_pq(graph, f: VertexFunction, H: TangentEdgeFunction,
@@ -222,7 +266,7 @@ def edge_norm_pq(graph, f: VertexFunction, H: TangentEdgeFunction,
         raise DomainError("edge norm exponents must be positive")
     _check_pair(graph, f)
     _check_edge_fn(graph, H)
-    fr, h = f._to_rows(), f.manifold._rows(H.values)
+    fr, h = f._to_rows(), _to_layout(graph, f.manifold._rows(H.values))
     norms = _on_active_edges(graph, fr, lambda src, dst, sel, _: (
         f.manifold._norm_rows(fr.state[:, src], h[:, sel])))
     S = _scatter(graph, norms ** q)
@@ -256,9 +300,10 @@ def grad_div_identity(graph, f: VertexFunction, H: TangentEdgeFunction):
     _check_edge_fn(graph, H)
     if np.any(graph.reverse_edge_index < 0):
         raise DomainError("the identity requires a symmetric edge set")
-    fr, h = f._to_rows(), f.manifold._rows(H.values)
+    fr, h = f._to_rows(), _to_layout(graph, f.manifold._rows(H.values))
     logs, _ = _edge_logs(graph, fr)
-    lhs = float(np.sum(_edge_inners(graph, fr, graph.sqrt_weight * logs, h)))
+    lhs = float(np.sum(_edge_inners(
+        graph, fr, graph.paired_edges.sqrt_weight * logs, h)))
     rhs = -float(np.sum(_edge_inners(graph, fr, logs,
                                      _div_terms(graph, fr, h))))
     return lhs, rhs
@@ -332,10 +377,11 @@ def _smoothed_power(d, p, eps_smooth):
 
 def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
                        eps_smooth: float):
-    """Per-edge p-Laplacian coefficients ``b(u, v)``, zero on inactive edges.
+    """Per-edge p-Laplacian coefficients ``b(u, v)`` in the paired layout,
+    zero on inactive edges.
 
     Both p-Laplacians read ``Delta_p f(u) = -sum_v b(u,v) log_{f(u)} f(v)``
-    for the edge distances ``d``:
+    for the edge distances ``d`` (equal on the two edges of a pair):
 
     * aniso: ``b = sqrt(w)^p d^{p-2}``;
     * iso:   ``b = w (alpha_u + alpha_v) / 2`` with the local-variation
@@ -343,18 +389,23 @@ def _edge_coefficients(graph, f: VertexFunction, d, model: str, p: float,
 
     The singular factors are smoothed for p < 2 (see module docstring).
     """
-    w = graph.weight
+    e = graph.paired_edges
     if model == "iso":
+        w = e.weight
         S = _scatter(graph, w * d * d)
         alpha = _smoothed_power(np.sqrt(S), p, eps_smooth)
     elif model != "aniso":
         raise DomainError(f"unknown model {model!r}")
 
-    def op(src, dst, sel, _):
+    def op(src, dst, sel, h):
+        # with equal pair weights an edge and its reverse share b
+        h = h if e.equal_weights else 0
         if model == "aniso":
-            return (graph.sqrt_weight[sel] ** p
-                    * _smoothed_power(d[sel], p, eps_smooth))
-        return 0.5 * w[sel] * (alpha[src] + alpha[dst])
+            return _share_pairs(lambda sw, d: (
+                sw ** p * _smoothed_power(d, p, eps_smooth)), h,
+                e.sqrt_weight[sel], d[sel])
+        return _share_pairs(lambda w, u, v: 0.5 * w * (alpha[u] + alpha[v]),
+                            h, w[sel], src, dst)
     return _on_active_edges(graph, f, op)
 
 
@@ -446,16 +497,23 @@ def _check_model_args(f, f0, lam, p):
 
 
 def _energy(graph, lam, p, model, d, d0):
-    """Model energy from the edge distances ``d`` (zero when inactive) and
-    the fidelity distances ``d0`` (None when ``lam = 0``).
+    """Model energy from the edge distances ``d`` in the paired layout
+    (zero when inactive, equal on the two edges of a pair) and the fidelity
+    distances ``d0`` (None when ``lam = 0``).
 
     The regularizer is ``(1/p) sum over directed edges (sqrt(w) d)^p``
     (aniso) or ``(1/p) sum_u (sum_v w d^2)^(p/2)`` (iso).
     """
+    e = graph.paired_edges
     if model == "aniso":
-        reg = np.sum((graph.sqrt_weight * d) ** p) / p
+        # the terms from h on, the pairs' reverses and the tail; where the
+        # two weights of every pair agree, the reverses' terms are those of
+        # the first edges too
+        h = e.h if e.equal_weights else 0
+        t = (e.sqrt_weight[h:] * d[h:]) ** p
+        reg = (np.sum(t[:h]) + np.sum(t)) / p
     else:
-        reg = np.sum(_scatter(graph, graph.weight * d * d) ** (p / 2.0)) / p
+        reg = np.sum(_scatter(graph, e.weight * d * d) ** (p / 2.0)) / p
     fid = 0.0 if d0 is None else 0.5 * lam * np.sum(d0 * d0)
     return float(fid + reg)
 

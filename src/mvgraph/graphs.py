@@ -6,6 +6,9 @@ Edges are stored CSR-style as parallel arrays (src, dst, weight) sorted by
 (src, dst), plus an index pointer so the out-neighbourhood of vertex u is
 the slice indptr[u]:indptr[u+1].  All weights are strictly positive; absent
 edges are simply not stored.  Graphs are immutable after construction.
+
+The calculus and the solvers read the edges in another order, the paired
+layout (``PairedEdges``), in which the reverse of an edge is a slice.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class WeightedGraph:
         self.weight = weight
         self._keys = keys
         self._indptr = None
-        self._sqrt_weight = None
         self._rev = None
+        self._paired = None
         self.symmetric = bool(symmetric)
         if self.symmetric:
             rev = self.reverse_edge_index
@@ -112,13 +115,6 @@ class WeightedGraph:
             self._indptr = np.concatenate(([0], np.cumsum(counts)))
         return self._indptr
 
-    @property
-    def sqrt_weight(self) -> np.ndarray:
-        """``sqrt(weight)`` per edge, computed on first use."""
-        if self._sqrt_weight is None:
-            self._sqrt_weight = np.sqrt(self.weight)
-        return self._sqrt_weight
-
     def _check_vertex(self, u):
         if not (isinstance(u, (int, np.integer)) and 0 <= u < self.n_vertices):
             raise DomainError(
@@ -150,12 +146,54 @@ class WeightedGraph:
             self._rev = pos
         return self._rev
 
+    @property
+    def paired_edges(self) -> "PairedEdges":
+        """The edges in paired order (``PairedEdges``), built on first use."""
+        if self._paired is None:
+            self._paired = PairedEdges(self)
+        return self._paired
+
     def isolated_vertices(self) -> np.ndarray:
         """Vertices with no incident edge in either direction."""
         seen = np.zeros(self.n_vertices, dtype=bool)
         seen[self.src] = True
         seen[self.dst] = True
         return np.flatnonzero(~seen)
+
+
+class PairedEdges:
+    """The edges of a graph in paired order: the first edge of each reverse
+    pair (the one at the lower CSR position), then their reverses in the
+    same order, then the edges without a reverse (the tail).
+
+    ``order`` is that permutation of the CSR positions, ``h`` the number of
+    pairs: the reverse of edge i < h is edge i + h, and the edges from 2h on
+    have none.  ``src``, ``dst``, ``sqrt_weight`` and ``weight`` (built when
+    first read) are in this order.  ``equal_weights`` is True when the two
+    edges of every pair have the same weight.
+    """
+
+    def __init__(self, graph):
+        rev = graph.reverse_edge_index
+        first = np.flatnonzero(rev > np.arange(rev.size))
+        back = rev[first]
+        self.order = np.concatenate([first, back, np.flatnonzero(rev < 0)])
+        self.h = first.size
+        self.n_vertices = graph.n_vertices
+        self.src = graph.src[self.order]
+        self.dst = graph.dst[self.order]
+        self.equal_weights = graph.symmetric or np.array_equal(
+            graph.weight[first], graph.weight[back])
+        self.sqrt_weight = graph.weight[self.order]
+        np.sqrt(self.sqrt_weight, out=self.sqrt_weight)
+        self._csr_weight = graph.weight
+        self._weight = None
+
+    @property
+    def weight(self) -> np.ndarray:
+        if self._weight is None:
+            self._weight = self._csr_weight[self.order]
+        return self._weight
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,22 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _direct(a, h):
+    """The direct columns of a per-edge array in paired order
+    (``Manifold._edge_log_and_dist_rows``): the first h and the tail."""
+    if 2 * h == a.shape[-1]:
+        return a[..., :h]
+    return np.concatenate((a[..., :h], a[..., 2 * h:]), axis=-1)
+
+
+def _paired(v, back, d, h):
+    """Edge logs and distances in paired order from the logs ``v`` and
+    distances ``d`` of the direct edges and the logs ``back`` of the first
+    h edges' reverses, which take the same distances."""
+    return (np.concatenate((v[:, :h], back, v[:, h:]), axis=1),
+            np.concatenate((d[:h], d)))
+
+
 def _blockwise(fn, *cols):
     """``fn`` over blocks of ``_EIGH3_BLOCK`` rows (the last axis) of
     component arrays; its output, an array or a tuple of them with rows
@@ -423,17 +439,23 @@ class Manifold:
         return np.ascontiguousarray(
             rng.normal(0.0, sigma, size=x.shape[::-1]).T)
 
-    def _edge_log_and_dist_rows(self, p, s, src, dst, rev):
+    def _edge_log_and_dist_rows(self, p, s, src, dst, h):
         """``_log_and_dist_rows`` from the columns ``src`` of the point
         state ``s`` to the columns ``dst`` of the point rows ``p``, over a
-        batch of edges.
+        batch of edges in paired order: for i < h, edge h + i is the
+        reverse of edge i, and the edges from 2h on have no reverse in the
+        batch.  An InjectivityError names the edge by its position among
+        the direct edges, ``_direct(arange(batch size), h)``.
 
-        ``rev[i]`` is the batch position of the reverse of edge ``i``, or -1
-        when it is not in the batch.  Geometries that can share work
-        between an edge and its reverse override this.
+        Each direct edge (the first h and those from 2h on) is evaluated,
+        and the reverse of edge (u, v) takes ``log_v u = -log_u v`` and the
+        same distance: exact on the flat geometry, and correct on the
+        circle, whose transport is the identity.  The other geometries
+        override this.
         """
-        return self._log_and_dist_rows(np.take(s, src, axis=1),
-                                       np.take(p, dst, axis=1))
+        v, d = self._log_and_dist_rows(np.take(s, _direct(src, h), axis=1),
+                                       np.take(p, _direct(dst, h), axis=1))
+        return _paired(v, -v[:, :h], d, h)
 
     # -- kernel operations -------------------------------------------------
 
@@ -598,14 +620,30 @@ class Sphere2(Manifold):
         d = wrap_angle(t)
         return y / np.sqrt(_dot(y, y)), np.abs(d, out=d)
 
-    def _log_and_dist_rows(self, x, y):
+    def _log_parts(self, x, y):
+        """The parts of ``log_x y`` that ``log_y x`` shares: the dot
+        product, the distance and the scale d / |perp| of the component
+        ``perp`` of y orthogonal to x; and perp itself."""
         dot = _dot(x, y)
         perp = y - dot * x
         pn = np.sqrt(_dot(perp, perp))
         d = np.arctan2(pn, dot)
         self._check_injective(d)
         scale = np.where(pn > _TINY, d / np.where(pn > _TINY, pn, 1.0), 0.0)
+        return dot, d, scale, perp
+
+    def _log_and_dist_rows(self, x, y):
+        _, d, scale, perp = self._log_parts(x, y)
         return scale * perp, d
+
+    def _edge_log_and_dist_rows(self, p, s, src, dst, h):
+        """The reverse of a direct edge (u, v) shares its dot product,
+        distance and scale: ``log_v u = (d / |perp|)(x_u - dot x_v)``."""
+        x = np.take(s, _direct(src, h), axis=1)
+        y = np.take(p, _direct(dst, h), axis=1)
+        dot, d, scale, perp = self._log_parts(x, y)
+        back = scale[:h] * (x[:, :h] - dot[:h] * y[:, :h])
+        return _paired(scale * perp, back, d, h)
 
     def _dist_rows(self, x, y):
         c = _cross(x, y)
@@ -677,10 +715,11 @@ class Spd(Manifold):
     * log_y(x)     = -B diag(mu log mu) B^T and dist(y, x) = dist(x, y),
       since y = B diag(mu) B^T and B^T x^-1/2 = P^T (Pennec, Fillard &
       Ayache 2006, "A Riemannian framework for tensor computing").
-      ``_edge_log_and_dist_rows`` fills the reverse of each evaluated edge
-      this way, so an edge pass costs one eigendecomposition and five grid
-      products per undirected edge (two for the mid matrix, one for B, one
-      per direction), on top of the roots in the point state.
+      ``_edge_log_and_dist_rows`` fills the reverse half of its paired
+      batch this way, slice by slice, so an edge pass costs one
+      eigendecomposition and five grid products per undirected edge (two
+      for the mid matrix, one for B, one per direction), on top of the
+      roots in the point state.
     * exp_x(v)     = C diag(e^w) C^T for the frame C of a = v (four
       products), and dist(x, exp_x v) = ||v||_x = ||w||.
     * transport    = e v e^T with e = x^1/2 Exp(Delta/2) x^-1/2,
@@ -752,23 +791,23 @@ class Spd(Manifold):
             return _recompose(c, np.exp(w)), np.sqrt(np.sum(w * w, axis=0))
         return _blockwise(block, *np.split(s, 2), v)
 
-    def _edge_log_and_dist_rows(self, p, s, src, dst, rev):
-        """One ``_log_block`` per undirected pair, with the roots of each
-        source vertex read from the point state ``s``; the reverse of an
-        evaluated edge is -B diag(mu log mu) B^T in the same frame (class
+    def _edge_log_and_dist_rows(self, p, s, src, dst, h):
+        """One ``_log_block`` per direct edge, with the roots of each source
+        vertex read from the point state ``s``; the reverse of edge i < h
+        is -B diag(mu log mu) B^T in the frame of edge i (class
         docstring)."""
-        direct = np.flatnonzero((rev < 0) | (np.arange(src.size) < rev))
         logs = np.empty((p.shape[0], src.size))
         d = np.empty(src.size)
-        for a in range(0, direct.size, _EIGH3_BLOCK):
-            e = direct[a:a + _EIGH3_BLOCK]
-            rt_e, irt_e = np.split(np.take(s, src[e], axis=1), 2)
-            y = np.take(p, dst[e], axis=1)
-            logs[:, e], d[e], b, back = _log_block(rt_e, irt_e, y)
-            pair = np.flatnonzero(rev[e] >= 0)
-            logs[:, rev[e[pair]]] = -np.take(_recompose(b, back), pair,
-                                             axis=1)
-            d[rev[e[pair]]] = d[e[pair]]
+        for lo, hi in ((0, h), (2 * h, src.size)):
+            for a in range(lo, hi, _EIGH3_BLOCK):
+                e = slice(a, min(a + _EIGH3_BLOCK, hi))
+                rt, irt = np.split(np.take(s, src[e], axis=1), 2)
+                logs[:, e], d[e], b, back = _log_block(
+                    rt, irt, np.take(p, dst[e], axis=1))
+                if lo == 0:
+                    r = slice(e.start + h, e.stop + h)
+                    logs[:, r] = -_recompose(b, back)
+                    d[r] = d[e]
         return logs, d
 
     def _dist_rows(self, s, y):

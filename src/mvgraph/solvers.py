@@ -45,12 +45,17 @@ pass, takes the exponential, checks that the new iterate is finite at its
 active vertices, then runs the new iterate's pass.  That pass is the
 iterate's edge logs and distances and its fidelity logs and distances, read
 at its point state (on Spd its roots x^{+-1/2}, which the row function
-takes once).  The edge part is the admissibility check (an active edge
-beyond the injectivity bound raises an injectivity error); in ``solve`` the
-whole pass is the next sweep's ``R``, the energy-trace entry and the final
-residual: one pass per iterate.  With ``halve_dt_on_injectivity`` a
-violating explicit sweep of ``solve`` redoes the exponential, the check and
-the edge pass at halved dt; ``dt_trace`` records the dt each sweep used.
+takes once).  Its edge part runs in the graph's paired layout
+(``WeightedGraph.paired_edges``) and evaluates each reverse pair once: the
+reverse edge's log follows from its pair's (``calculus`` conventions), and
+so do its coefficient ``b`` and energy term where the pair's two weights
+agree.  The edge part is the admissibility check (an active edge beyond
+the injectivity bound raises an injectivity error); in ``solve`` the whole
+pass is the next sweep's ``R``, the energy-trace entry and the final
+residual: one pass per iterate, freed once ``R`` is taken.  With
+``halve_dt_on_injectivity`` a violating explicit sweep of ``solve`` redoes
+the exponential, the check and the edge pass at halved dt; ``dt_trace``
+records the dt each sweep used.
 An antipodal iterate/datum pair in the fidelity term raises an injectivity
 error that is never halved.  Public steps never halve.  A non-finite iterate
 or a failing eigensolver raises ``DivergenceError`` naming the sweep or
@@ -169,18 +174,19 @@ def _diverging(label):
         raise DivergenceError(f"{label} diverged: {err}") from err
 
 
-def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
+def _sweep(label, graph, f, f0, cfg, scheme, passes=None, halve=False):
     """One sweep of ``scheme`` from the row function ``f`` (data ``f0``,
-    in rows too), as ``(new, new_it, dt, change)``.
+    in rows too), as ``(new, dt, change)``.
 
-    ``it`` is the ``_iterate_pass`` of ``f``, and ``new_it`` that of
-    ``new``.  A public step passes none and gets none back; it checks the
-    new iterate's edges only where the injectivity radius is finite.
-    ``change`` is the mean geodesic length of the steps over active
-    vertices.  ``halve`` allows an explicit sweep to retry at halved dt
-    (see the module docstring).
+    ``passes`` is a list that holds the ``_iterate_pass`` of ``f`` alone.
+    The sweep takes it out, so that no one holds it once ``R`` is taken,
+    and puts that of ``new`` in its place.  A public step passes none; it
+    checks the new iterate's edges only where the injectivity radius is
+    finite.  ``change`` is the mean geodesic length of the steps over
+    active vertices.  ``halve`` allows an explicit sweep to retry at
+    halved dt (see the module docstring).
     """
-    public = it is None
+    public = passes is None
     check_new = not public or np.isfinite(f.manifold.injectivity_radius)
 
     def finite_exp(s, v):
@@ -190,15 +196,15 @@ def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
         raise DivergenceError(f"{label} diverged: its iterate is not finite")
 
     with _diverging(label):
-        if public:
-            it = _iterate_pass(graph, f, f0, cfg.lam)
+        it = _iterate_pass(graph, f, f0, cfg.lam) if public else passes.pop()
         R, b = _residual(graph, f, cfg.lam, cfg.p, cfg.model, cfg.eps_smooth,
                          it)
         if scheme == "jacobi":
             direction = -R / (cfg.lam + _scatter(graph, b))
         else:
             direction = -R
-        del R, b    # freed before the new edge pass, the sweep's peak
+        # freed before the new edge pass, the sweep's memory peak
+        del R, b, it
         dt = cfg.dt
         for _ in range(_MAX_HALVINGS):
             step = direction if scheme == "jacobi" else dt * direction
@@ -215,10 +221,10 @@ def _sweep(label, graph, f, f0, cfg, scheme, it=None, halve=False):
             raise InjectivityError(f"explicit sweep still inadmissible after "
                                    f"{_MAX_HALVINGS} dt halvings")
         # outside the retry: an antipodal datum is not halved away
-        new_it = None if public else _iterate_pass(graph, new, f0, cfg.lam,
-                                                   edges)
+        if not public:
+            passes.append(_iterate_pass(graph, new, f0, cfg.lam, edges))
     t = t if f.mask is None else t[f.mask]
-    return new, new_it, dt, float(np.mean(t)) if t.size else 0.0
+    return new, dt, float(np.mean(t)) if t.size else 0.0
 
 
 def explicit_step(graph, f: VertexFunction, f0: VertexFunction,
@@ -271,28 +277,31 @@ def solve(graph: WeightedGraph, f0: VertexFunction, cfg: SolverConfig,
     f = start._to_rows()
     data = f.with_rows(f.rows) if init is None else f0._to_rows()
 
-    it = _iterate_pass(graph, f, data, cfg.lam)
+    # the current iterate's pass, held in this list only (see _sweep)
+    passes = [_iterate_pass(graph, f, data, cfg.lam)]
     etrace = None
     if cfg.record_energy:
-        etrace = [_energy(graph, cfg.lam, cfg.p, cfg.model, it.d, it.data_d)]
+        etrace = [_energy(graph, cfg.lam, cfg.p, cfg.model, passes[0].d,
+                          passes[0].data_d)]
 
     changes = []
     dts = []
     reason = "max_iters"
     for k in range(1, int(cfg.max_iters) + 1):
-        f, it, dt, change = _sweep(f"sweep {k}", graph, f, data, cfg,
-                                   cfg.scheme, it,
-                                   cfg.halve_dt_on_injectivity)
+        f, dt, change = _sweep(f"sweep {k}", graph, f, data, cfg,
+                               cfg.scheme, passes,
+                               cfg.halve_dt_on_injectivity)
         changes.append(change)
         dts.append(dt)
         if etrace is not None:
-            etrace.append(_energy(graph, cfg.lam, cfg.p, cfg.model, it.d,
-                                  it.data_d))
+            etrace.append(_energy(graph, cfg.lam, cfg.p, cfg.model,
+                                  passes[0].d, passes[0].data_d))
         if change < cfg.stop_tol:
             reason = "converged"
             break
 
-    R, _ = _residual(graph, f, cfg.lam, cfg.p, cfg.model, cfg.eps_smooth, it)
+    R, _ = _residual(graph, f, cfg.lam, cfg.p, cfg.model, cfg.eps_smooth,
+                     passes[0])
     rmax = f.max_norm(R)
     if reason == "converged":
         bound = (JACOBI_RESIDUAL_FACTOR * cfg.lam * cfg.stop_tol

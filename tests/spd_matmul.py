@@ -59,10 +59,11 @@ def log_and_dist(x, y):
     return sym(rt @ mid @ rt), np.sqrt(np.sum(lmu * lmu, axis=-1))
 
 
-def edge_log_and_dist(points, src, dst, rev):
-    """Direct edges as ``log_and_dist``, their reverses from
+def edge_log_and_dist(points, src, dst, h):
+    """Edges in paired order (h pairs, edge h + i the reverse of edge i):
+    the first h and the tail as ``log_and_dist``, the reverses from
     log_y(x) = -y x^-1/2 M x^1/2."""
-    direct = np.flatnonzero((rev < 0) | (np.arange(src.size) < rev))
+    direct = np.r_[0:h, 2 * h:src.size]
     x, y = points[src[direct]], points[dst[direct]]
     rt, irt = roots(x)
     mid, lmu = log_mid(irt, y)
@@ -70,8 +71,6 @@ def edge_log_and_dist(points, src, dst, rev):
     d = np.empty(src.size)
     logs[direct] = sym(rt @ mid @ rt)
     d[direct] = np.sqrt(np.sum(lmu * lmu, axis=-1))
-    pair = np.flatnonzero(rev[direct] >= 0)
-    back = rev[direct[pair]]
-    logs[back] = -sym(y[pair] @ irt[pair] @ mid[pair] @ rt[pair])
-    d[back] = d[direct[pair]]
+    logs[h:2 * h] = -sym(y[:h] @ irt[:h] @ mid[:h] @ rt[:h])
+    d[h:2 * h] = d[:h]
     return logs, d

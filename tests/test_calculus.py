@@ -8,7 +8,8 @@ import pytest
 from conftest import (clustered_vertex_function, random_point,
                       random_symmetric_graph)
 import mvgraph.manifolds
-from mvgraph.calculus import (aniso_p_laplacian, directional_derivative,
+from mvgraph.calculus import (_on_active_edges, aniso_p_laplacian,
+                              directional_derivative,
                               divergence, edge_inner, edge_logs, edge_norm_pq,
                               energy_aniso, energy_gradient, energy_iso,
                               grad_div_identity, gradient, iso_p_laplacian,
@@ -18,6 +19,7 @@ from mvgraph.errors import DomainError, InjectivityError
 from mvgraph.fields import TangentEdgeFunction, VertexFunction
 from mvgraph.graphs import WeightedGraph, grid_graph
 from mvgraph.manifolds import Circle, Euclidean, Spd, Sphere2
+from mvgraph.solvers import SolverConfig, explicit_step, solve
 
 
 def path_graph(weights):
@@ -271,7 +273,8 @@ def test_grad_div_identity(manifold, rng):
 
 def test_grad_div_identity_makes_one_edge_pass(rng):
     # Euclidean transport takes no log, so every row of the log kernel
-    # comes from edge passes: both sides of the identity share one
+    # comes from edge passes: both sides of the identity share one, which
+    # evaluates each reverse pair once
     rows = []
 
     class CountingEuclidean(Euclidean):
@@ -284,7 +287,7 @@ def test_grad_div_identity_makes_one_edge_pass(rng):
     f = VertexFunction(e, rng.normal(size=(16, 2)))
     H = edge_fn(g, f, rng)
     grad_div_identity(g, f, H)
-    assert rows == [g.n_edges]
+    assert rows == [g.n_edges // 2]
 
 
 def test_pairing_with_divergence_convention(rng):
@@ -690,7 +693,7 @@ def test_fidelity_injectivity_error_names_the_original_vertex():
 
 def test_transport_injectivity_error_in_divergence_names_the_edge():
     # f(2) and f(3) are antipodal, so the transport along edge (2, 3) is
-    # undefined; the error names that edge, not its position (4) among
+    # undefined; the error names that edge, not its position (2) among
     # the transported terms
     s = Sphere2()
     g = grid_graph(1, 4)
@@ -725,6 +728,26 @@ def test_directional_derivative_injectivity_error_names_the_edge():
     with pytest.raises(InjectivityError, match=r"edge \(1, 2\)") as exc:
         directional_derivative(g, f, 1, 2)
     assert (exc.value.vertex, exc.value.neighbor) == (1, 2)
+
+
+def test_antipodal_one_way_edge_in_the_tail_is_named():
+    # two reverse pairs, then the one-way edge (3, 0), antipodal: among the
+    # evaluated edges it is the third, and the third edge of the paired
+    # batch is the reverse (1, 0); the error names (3, 0)
+    g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0),
+                                     (2, 1, 1.0), (3, 0, 1.0)])
+    e = g.paired_edges
+    assert e.h == 2 and (e.src[4], e.dst[4]) == (3, 0)
+    x = np.array([0.0, 0.6, 0.8])
+    for f in (VertexFunction(Circle(), np.array([[0.0], [0.1], [0.2],
+                                                 [np.pi]])),
+              VertexFunction(Sphere2(), np.array([x, x, x, -x]))):
+        for op in (lambda: edge_logs(g, f),
+                   lambda: explicit_step(g, f, f, SolverConfig(dt=0.0))):
+            with pytest.raises(InjectivityError,
+                               match=r"edge \(3, 0\)") as exc:
+                op()
+            assert (exc.value.vertex, exc.value.neighbor) == (3, 0)
 
 
 def test_quasi_norm_regime_runs(rng):
@@ -800,14 +823,138 @@ def test_spd_edge_logs_match_per_edge_expression(manifold, case, rng):
     assert np.all(np.abs(d[filled] - ref_d[filled]) <= 1e-12 * ref_d[filled])
 
 
+def _shared_reverse(manifold, g, f, ref_logs, ref_d):
+    """The logs and distances that the reverse edges of a pass take, from
+    the per-edge expression of their pairs' first edges: -log and the same
+    distance, or on the sphere, with dot, d and d / |perp| of the first
+    edge (u, v), log_v u = (d / |perp|)(x_u - dot x_v)."""
+    rev = g.reverse_edge_index
+    back = np.flatnonzero(rev >= 0)
+    back = back[back > rev[back]]
+    first = rev[back]
+    logs, d = -ref_logs[first], ref_d[first]
+    if isinstance(manifold, Sphere2):
+        x, y = f.values[g.src[first]], f.values[g.dst[first]]
+        dot = np.sum(x * y, axis=-1)
+        perp = y - dot[:, None] * x
+        pn = np.linalg.norm(perp, axis=-1)
+        scale = np.where(pn > 1e-15, d / np.where(pn > 1e-15, pn, 1.0), 0.0)
+        logs = scale[:, None] * (x - dot[:, None] * y)
+    return back, logs, d
+
+
 @pytest.mark.parametrize("case", ["symmetric", "one-way", "masked"])
 @pytest.mark.parametrize("manifold", [Sphere2(), Circle(), Euclidean(3)],
                          ids=lambda m: m.kind)
 def test_edge_logs_is_the_per_edge_expression(manifold, case, rng):
     g, f = _edge_pass_case(case, manifold, rng)
     logs, d = edge_logs(g, f)
-    ref_logs, ref_d, _ = _per_edge(g, f)
-    assert np.array_equal(logs, ref_logs) and np.array_equal(d, ref_d)
+    ref_logs, ref_d, act = _per_edge(g, f)
+    if isinstance(manifold, Euclidean):
+        # log_v u = u - v = -(v - u) exactly, and so is its length
+        assert np.array_equal(logs, ref_logs) and np.array_equal(d, ref_d)
+        return
+    # the first edge of each pair and the one-way edges are evaluated
+    # directly; each reverse takes its pair's shared form
+    back, back_logs, back_d = _shared_reverse(manifold, g, f, ref_logs, ref_d)
+    assert np.any(act[back])
+    direct = np.ones(g.n_edges, dtype=bool)
+    direct[back] = False
+    assert np.array_equal(logs[direct], ref_logs[direct])
+    assert np.array_equal(d[direct], ref_d[direct])
+    assert np.array_equal(logs[back], np.where(act[back, None], back_logs,
+                                               0.0))
+    assert np.array_equal(d[back], np.where(act[back], back_d, 0.0))
+
+
+def test_a_mask_keeps_reverse_pairs_whole(rng):
+    n = 30
+    g = one_way_graph(rng, n)
+    e = g.paired_edges
+    mask = rng.random(n) < 0.7
+    f = VertexFunction(Circle(), random_point(Circle(), rng, n), mask)
+    seen = []
+
+    def op(src, dst, sel, h):
+        seen.append((src, dst, sel, h))
+        return np.ones(src.size)
+
+    out = _on_active_edges(g, f, op)
+    src, dst, sel, h = seen[0]
+    act = mask[e.src] & mask[e.dst]
+    assert 0 < h < e.h and sel.size < 2 * e.h + np.sum(~act[2 * e.h:])
+    # the active edges, again in paired order
+    assert np.array_equal(np.sort(sel), np.flatnonzero(act))
+    assert np.array_equal(sel[h:2 * h], sel[:h] + e.h)
+    assert np.all(sel[:h] < e.h) and np.all(sel[2 * h:] >= 2 * e.h)
+    assert np.array_equal(src, e.src[sel]) and np.array_equal(dst, e.dst[sel])
+    assert np.array_equal(src[h:2 * h], dst[:h])
+    assert np.array_equal(dst[h:2 * h], src[:h])
+    assert np.array_equal(out, act.astype(float))
+
+
+def _per_edge_residual(g, f, f0, lam, p, model, eps=1e-7):
+    """The residual and the energy edge by edge in CSR order, each edge
+    with its own weight, log and distance."""
+    logs, d, act = _per_edge(g, f)
+    w = g.weight
+    eps = eps if p < 2 else 0.0
+    if model == "aniso":
+        b = np.sqrt(w) ** p * (d + eps) ** (p - 2.0)
+        reg = np.sum((np.sqrt(w) * d) ** p) / p
+    else:
+        S = np.bincount(g.src, weights=w * d * d, minlength=g.n_vertices)
+        alpha = (np.sqrt(S) + eps) ** (p - 2.0)
+        b = 0.5 * w * (alpha[g.src] + alpha[g.dst])
+        reg = np.sum(S ** (p / 2.0)) / p
+    b = np.where(act, b, 0.0)
+    R = np.zeros(f.values.shape)
+    np.add.at(R, g.src, -b[:, None] * logs)
+    data_logs, d0 = f.manifold.log_and_dist(f.values, f0.values)
+    return R - lam * data_logs, reg + 0.5 * lam * np.sum(d0 * d0)
+
+
+def one_way_graph(rng, n):
+    """A random graph with about 30% of its edges one-way and fresh
+    weights, so that the two weights of a pair differ."""
+    sym = random_symmetric_graph(rng, n)
+    keep = rng.random(sym.n_edges) < 0.7
+    g = WeightedGraph(n, sym.src[keep], sym.dst[keep],
+                      rng.uniform(0.1, 1.0, size=int(keep.sum())))
+    assert np.any(g.reverse_edge_index < 0)
+    assert not g.paired_edges.equal_weights
+    return g
+
+
+@pytest.mark.parametrize("model,p", [("aniso", 1.0), ("aniso", 3.0),
+                                     ("iso", 1.0), ("iso", 3.0)])
+def test_unequal_pair_weights_give_the_per_edge_results(model, p, rng):
+    # no coefficient or energy term is shared across a pair whose two
+    # weights differ
+    s = Sphere2()
+    g = one_way_graph(rng, 16)
+    f = clustered_vertex_function(s, rng, 16, spread=0.6)
+    f0 = clustered_vertex_function(s, rng, 16, spread=0.6)
+    R, energy = _per_edge_residual(g, f, f0, 0.7, p, model)
+    np.testing.assert_allclose(residual(g, f, f0, 0.7, p, model).values, R,
+                               rtol=1e-12, atol=1e-12)
+    model_energy = energy_aniso if model == "aniso" else energy_iso
+    assert model_energy(g, f, f0, 0.7, p) == pytest.approx(energy, rel=1e-12)
+    laplacian = aniso_p_laplacian if model == "aniso" else iso_p_laplacian
+    np.testing.assert_allclose(laplacian(g, f, p).values,
+                               _per_edge_residual(g, f, f0, 0.0, p, model)[0],
+                               rtol=1e-12, atol=1e-12)
+    # five explicit sweeps, each from the per-edge residual
+    cfg = SolverConfig(model=model, p=p, lam=0.7, dt=0.02, max_iters=5,
+                       stop_tol=0.0)
+    ref = f
+    for _ in range(5):
+        R, _ = _per_edge_residual(g, ref, f0, 0.7, p, model)
+        ref = ref.with_values(s.exp(ref.values, -cfg.dt * R))
+    got, rep = solve(g, f0, cfg, init=f)
+    assert rep.iterations == 5
+    np.testing.assert_allclose(got.values, ref.values, rtol=1e-12,
+                               atol=1e-12)
 
 
 def test_spd_edge_pass_decomposes_once_per_vertex_and_pair(rng, monkeypatch):

@@ -95,6 +95,53 @@ def test_reverse_edge_index(rng):
         assert rev[e] == expect
 
 
+@pytest.mark.parametrize("case", ["symmetric", "one-way"])
+def test_paired_edges_layout(case, rng):
+    n = 30
+    g = random_symmetric_graph(rng, n)
+    if case == "one-way":
+        keep = rng.random(g.n_edges) < 0.7
+        g = WeightedGraph(n, g.src[keep], g.dst[keep],
+                          rng.uniform(0.1, 1.0, size=int(keep.sum())))
+    e = g.paired_edges
+    assert e is g.paired_edges
+    assert e._weight is None    # built when first read
+    h, rev = e.h, g.reverse_edge_index
+    assert np.array_equal(np.sort(e.order), np.arange(g.n_edges))
+    # each pair's first edge at the lower CSR position, its reverse h on
+    first, back, tail = e.order[:h], e.order[h:2 * h], e.order[2 * h:]
+    assert np.array_equal(rev[first], back) and np.all(first < back)
+    assert np.all(rev[tail] == -1)
+    assert (tail.size > 0) == (case == "one-way") and h > 0
+    for name in ("src", "dst", "weight"):
+        assert np.array_equal(getattr(e, name), getattr(g, name)[e.order])
+    assert np.array_equal(e.sqrt_weight, np.sqrt(g.weight)[e.order])
+    assert np.array_equal(e.src[h:2 * h], e.dst[:h])
+    assert np.array_equal(e.dst[h:2 * h], e.src[:h])
+    assert e.equal_weights == (case == "symmetric")
+    assert e.n_vertices == n
+
+
+def test_paired_edges_are_built_once_per_graph(rng, monkeypatch):
+    builds = []
+    init = graphs.PairedEdges.__init__
+
+    def counting(self, graph):
+        builds.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(graphs.PairedEdges, "__init__", counting)
+    from mvgraph.calculus import edge_logs, energy_aniso
+    from mvgraph.solvers import SolverConfig, solve
+    g = random_symmetric_graph(rng, 20)
+    f = clustered_vertex_function(Sphere2(), rng, 20, spread=0.5)
+    for _ in range(2):
+        edge_logs(g, f)
+        energy_aniso(g, f, f, 1.0, 1.0)
+        solve(g, f, SolverConfig(p=1.0, lam=1.0, dt=0.01, max_iters=3))
+    assert builds == [g]
+
+
 def test_neighbors_and_edge_index():
     g = WeightedGraph.from_edges(4, [(2, 0, 1.5), (2, 3, 0.5), (0, 2, 1.0)])
     assert g.edge_index(2, 3) >= 0

@@ -487,9 +487,9 @@ def test_solve_makes_one_edge_pass_per_iterate(rng):
     rows = []
 
     class CountingSphere2(Sphere2):
-        def _log_and_dist_rows(self, x, y):
+        def _log_parts(self, x, y):
             rows.append(x.shape[-1])
-            return super()._log_and_dist_rows(x, y)
+            return super()._log_parts(x, y)
 
         def dist(self, x, y):
             rows.append(len(x))
@@ -506,9 +506,10 @@ def test_solve_makes_one_edge_pass_per_iterate(rng):
     rows.clear()
     _, rep = solve(g, f0, cfg(lam=0.0, dt=0.05, max_iters=k, stop_tol=0.0))
     assert rep.iterations == k
-    # edge logs of the start and of each sweep's result; the change of a
-    # sweep is the length of its steps, which takes no distance
-    assert rows == [g.n_edges] * (k + 1)
+    # edge logs of the start and of each sweep's result, each reverse pair
+    # evaluated once; the change of a sweep is the length of its steps,
+    # which takes no distance
+    assert rows == [g.n_edges // 2] * (k + 1)
 
 
 def test_explicit_step_on_flat_data_makes_one_edge_pass(rng, monkeypatch):

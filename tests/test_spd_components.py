@@ -10,7 +10,7 @@ import mvgraph.manifolds
 import spd_matmul
 from conftest import random_point, random_symmetric_graph
 from mvgraph.calculus import _on_active_edges, _scatter, edge_logs
-from mvgraph.fields import VertexFunction
+from mvgraph.fields import VertexFunction, _spread
 from mvgraph.graphs import WeightedGraph
 from mvgraph.manifolds import Spd, _components, _matrices
 
@@ -108,11 +108,12 @@ def test_edge_pass_matches_matmul_form(manifold, case, rng):
         values[~mask] = np.nan
     f = VertexFunction(manifold, values, mask)
     logs, d = edge_logs(g, f)
-    # _on_active_edges spreads along the last (batch) axis
-    ref_logs, ref_d = _on_active_edges(
-        g, f, lambda src, dst, sel, rev: tuple(
+    # _on_active_edges works in the paired layout and spreads along the
+    # last (batch) axis
+    ref_logs, ref_d = _spread(_on_active_edges(
+        g, f, lambda src, dst, sel, h: tuple(
             np.moveaxis(a, 0, -1) for a in spd_matmul.edge_log_and_dist(
-                f.values, src, dst, rev)))
+                f.values, src, dst, h))), g.paired_edges.order, g.n_edges)
     ref_logs = np.moveaxis(ref_logs, -1, 0)
     act = f.active[g.src] & f.active[g.dst]
     assert np.all(logs[~act] == 0.0) and np.all(d[~act] == 0.0)
@@ -169,7 +170,7 @@ def test_empty_batches(k):
     none = np.zeros(0, dtype=np.int64)
     p = m._rows(np.eye(k)[None])
     logs, d = m._edge_log_and_dist_rows(p, m._point_state_rows(p), none,
-                                        none, none)
+                                        none, 0)
     assert logs.shape == (m.intrinsic_dim, 0) and d.shape == (0,)
 
 
@@ -186,13 +187,16 @@ def test_spd2_kernels_match_matmul_forms(rng):
 
 def test_scatter_of_symmetric_terms_is_the_nine_column_sum(rng):
     # the six component rows give the sum of all nine entries exactly
+    # _scatter sums terms in the paired layout
     g = random_symmetric_graph(rng, 40)
     f = VertexFunction(Spd(3), random_point(Spd(3), rng, 40))
     logs, _ = edge_logs(g, f)
-    terms = -rng.uniform(0.1, 1.0, size=g.n_edges)[:, None, None] * logs
+    src = g.paired_edges.src
+    terms = (-rng.uniform(0.1, 1.0, size=g.n_edges)[:, None, None]
+             * logs[g.paired_edges.order])
 
     def nine(t):
-        return np.stack([np.bincount(g.src, weights=t[:, i, j],
+        return np.stack([np.bincount(src, weights=t[:, i, j],
                                      minlength=g.n_vertices)
                          for i in range(3) for j in range(3)],
                         axis=1).reshape(-1, 3, 3)
